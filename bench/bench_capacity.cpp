@@ -145,31 +145,16 @@ void emit_capacity_knobs(load::Substrate sub, const load::Scenario& sc) {
     case load::Substrate::kCharlotte: {
       const charlotte::Costs c;
       j.field("send_retransmit_timeout_ms",
-              sim::to_msec(c.send_retransmit_timeout))
-          .field("ack_coalesce_delay_ms", sim::to_msec(c.ack_coalesce_delay))
-          .field("adaptive_rto", c.adaptive_rto ? 1.0 : 0.0)
-          .field("rto_min_ms", sim::to_msec(c.rto_min))
-          .field("rto_max_ms", sim::to_msec(c.rto_max));
+              sim::to_msec(c.send_retransmit_timeout));
       break;
     }
     case load::Substrate::kSoda: {
       const soda::Costs c;
-      j.field("ack_timeout_ms", sim::to_msec(c.ack_timeout))
-          .field("cumulative_acks", c.cumulative_acks ? 1.0 : 0.0)
-          .field("ack_coalesce_delay_ms", sim::to_msec(c.ack_coalesce_delay))
-          .field("adaptive_rto", c.adaptive_rto ? 1.0 : 0.0)
-          .field("rto_min_ms", sim::to_msec(c.rto_min))
-          .field("rto_max_ms", sim::to_msec(c.rto_max));
+      j.field("ack_timeout_ms", sim::to_msec(c.ack_timeout));
       break;
     }
-    case load::Substrate::kChrysalis: {
-      const lynx::ChrysalisBackendParams p;
-      j.field("batched_drain", p.batched_drain ? 1.0 : 0.0)
-          .field("drain_max_notices", static_cast<double>(p.drain_max_notices))
-          .field("consumed_coalesce_delay_ms",
-                 sim::to_msec(p.consumed_coalesce_delay));
-      break;
-    }
+    case load::Substrate::kChrysalis:
+      break;  // no transport knobs: shared memory does not retransmit
   }
   j.emit();
 }

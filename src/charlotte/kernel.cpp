@@ -325,7 +325,8 @@ sim::Task<Status> Kernel::send(Pid caller, EndId end_id, Payload data,
       e != nullptr && e->send.has_value() && e->send->msg.seq == seq) {
     attach_piggyback(*e, e->send->msg, dst);
     e->send->first_sent_at = cluster_->engine().now();
-    e->send->cur_rto = initial_rto(*e);
+    e->send->cur_rto =
+        e->rtt.rto(cluster_->costs().send_retransmit_timeout);
     transmit(dst, e->send->msg, trace);
     arm_send_timer(*e);
   } else {
@@ -349,26 +350,14 @@ void Kernel::attach_piggyback(EndState& end, wire::Msg& m, net::NodeId dst) {
   end.owed_ack.reset();
 }
 
-sim::Duration Kernel::initial_rto(const EndState& end) const {
-  const Costs& costs = cluster_->costs();
-  if (!costs.adaptive_rto) {
-    return costs.send_retransmit_timeout;
-  }
-  return end.rtt.rto(costs.send_retransmit_timeout, costs.rto_min,
-                     costs.rto_max);
-}
-
 void Kernel::arm_send_timer(EndState& end) {
   if (cluster_->costs().send_retransmit_timeout <= 0 ||
       !end.send.has_value()) {
     return;
   }
-  const sim::Duration timeout = end.send->cur_rto > 0
-                                    ? end.send->cur_rto
-                                    : cluster_->costs().send_retransmit_timeout;
   end.send->retry.cancel();
   end.send->retry = cluster_->engine().schedule_cancellable(
-      timeout, [this, id = end.id, seq = end.send->msg.seq] {
+      end.send->cur_rto, [this, id = end.id, seq = end.send->msg.seq] {
         on_send_timeout(id, seq);
       });
 }
@@ -394,12 +383,9 @@ void Kernel::on_send_timeout(EndId end_id, std::uint64_t seq) {
                  static_cast<std::uint64_t>(end->send->attempts));
   }
   transmit(end->peer_node, end->send->msg, end->send->msg.trace);
-  if (cluster_->costs().adaptive_rto && end->send->cur_rto > 0) {
-    // Exponential backoff: a timeout is evidence the estimate was low
-    // (or the path is impaired); don't hammer a congested ring.
-    end->send->cur_rto =
-        std::min(end->send->cur_rto * 2, cluster_->costs().rto_max);
-  }
+  // Exponential backoff: a timeout is evidence the estimate was low (or
+  // the path is impaired); don't hammer a congested ring.
+  end->send->cur_rto = std::min(end->send->cur_rto * 2, common::kRtoMax);
   arm_send_timer(*end);
 }
 
@@ -513,7 +499,10 @@ void Kernel::terminate_process(Pid pid) {
     if (EndState* end = find_end(id)) begin_destroy(*end);
   }
   processes_.erase(pid);
-  completions_.erase(pid);
+  if (auto it = completions_.find(pid); it != completions_.end()) {
+    retired_mailboxes_.push_back(std::move(it->second));
+    completions_.erase(it);
+  }
 }
 
 // ===================== delivery =====================
@@ -574,19 +563,13 @@ void Kernel::owe_ack(EndId end_id, OwedAck owed) {
   EndState* end = find_end(end_id);
   if (end == nullptr) {
     // The end vanished (moved away or destroyed) between delivery and
-    // this point: fall back to an immediate standalone ack, exactly the
-    // v1 wire behaviour.
+    // this point: fall back to an immediate standalone ack.
     transmit(owed.to, wire::MsgAck{owed.seq, owed.peer, owed.len, owed.trace},
              owed.trace);
     return;
   }
   flush_owed_ack(*end);  // stop-and-wait should make this a no-op
   end->owed_ack = owed;
-  const sim::Duration delay = cluster_->costs().ack_coalesce_delay;
-  if (delay <= 0) {
-    flush_owed_ack(*end);
-    return;
-  }
   // Decide one microstep later whether coalescing can pay off.  The
   // delivery completion scheduled just before us wakes the receiving
   // thread first (FIFO tie order), and a reply posts its SendActivity
@@ -595,18 +578,18 @@ void Kernel::owe_ack(EndId end_id, OwedAck owed) {
   // visible on the end.  If none is (the link is idle), or the posted
   // frame will not reach the wire inside the coalescing window,
   // withholding the ack buys nothing and costs the remote sender a
-  // full ack_coalesce_delay of retransmit-timer exposure (the E3
+  // full kAckCoalesceDelay of retransmit-timer exposure (the E3
   // regression): flush immediately instead.
   cluster_->engine().schedule(0, [this, end_id, seq = owed.seq] {
     EndState* e = find_end(end_id);
     if (e == nullptr || !e->owed_ack.has_value() || e->owed_ack->seq != seq) {
       return;
     }
-    const sim::Duration window = cluster_->costs().ack_coalesce_delay;
+    const sim::Time deadline = cluster_->engine().now() + kAckCoalesceDelay;
     const bool reverse_pending =
         e->send.has_value() && e->send->first_sent_at == 0 &&
         e->peer_node == e->owed_ack->to &&
-        e->send->planned_tx_at <= cluster_->engine().now() + window;
+        e->send->planned_tx_at <= deadline;
     if (!reverse_pending) {
       flush_owed_ack(*e);
       return;
@@ -616,7 +599,7 @@ void Kernel::owe_ack(EndId end_id, OwedAck owed) {
     // case that send dies before transmission.
     e->ack_timer.cancel();
     e->ack_timer = cluster_->engine().schedule_cancellable(
-        window, [this, end_id, seq] {
+        kAckCoalesceDelay, [this, end_id, seq] {
           EndState* e2 = find_end(end_id);
           if (e2 == nullptr || !e2->owed_ack.has_value() ||
               e2->owed_ack->seq != seq) {
@@ -733,8 +716,7 @@ void Kernel::apply_ack(EndId to_end, std::uint64_t seq, std::size_t len,
       end->send->msg.seq != seq) {
     return;  // stale ack (e.g. the send was failed by a LinkDown race)
   }
-  if (cluster_->costs().adaptive_rto && end->send->attempts == 1 &&
-      end->send->first_sent_at > 0) {
+  if (end->send->attempts == 1 && end->send->first_sent_at > 0) {
     // Karn's rule: only unretransmitted exchanges produce samples (a
     // retransmitted one can't tell which copy this ack answers).
     end->rtt.observe(cluster_->engine().now() - end->send->first_sent_at);

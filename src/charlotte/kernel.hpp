@@ -126,7 +126,7 @@ class Kernel {
     net::NodeId from_node;
   };
   // An acknowledgement owed for a completed delivery, withheld for
-  // ack_coalesce_delay in the hope of piggybacking on reverse traffic.
+  // kAckCoalesceDelay in the hope of piggybacking on reverse traffic.
   struct OwedAck {
     std::uint64_t seq = 0;
     std::size_t len = 0;
@@ -147,7 +147,7 @@ class Kernel {
     std::optional<RecvActivity> recv;
     std::deque<PendingMsg> pending;
     int unwaited_recv_completions = 0;
-    // ---- ack protocol v2 (see DESIGN.md) ----
+    // ---- ack protocol (DESIGN.md §12) ----
     // Send sequence numbers are allocated per END (not per kernel) and
     // travel with the end when it moves, so the stream of seqs arriving
     // at the peer is strictly increasing for the lifetime of the link.
@@ -207,7 +207,7 @@ class Kernel {
   void clear_send(EndState& end);  // cancels the retry timer too
   // True if `seq` was already delivered on `end` (re-acks if so).
   bool deduplicate(EndState& end, const wire::Msg& m, net::NodeId from);
-  // ---- ack protocol v2 helpers ----
+  // ---- ack protocol helpers ----
   // Settle `end`'s outstanding send if it matches `seq` (shared by
   // standalone MsgAck frames and piggybacked acks on data frames).
   void apply_ack(EndId to_end, std::uint64_t seq, std::size_t len,
@@ -219,8 +219,6 @@ class Kernel {
   // Attach the owed ack to an outgoing Msg bound for `dst`, if it is
   // owed to that kernel.
   void attach_piggyback(EndState& end, wire::Msg& m, net::NodeId dst);
-  // Initial retransmission timeout for a fresh send on `end`.
-  [[nodiscard]] sim::Duration initial_rto(const EndState& end) const;
   [[nodiscard]] EndState* find_end(EndId id);
   [[nodiscard]] Status validate_owned(Pid caller, EndId id, EndState** out);
 
@@ -233,6 +231,10 @@ class Kernel {
   std::unordered_set<Pid> processes_;
   std::unordered_map<Pid, std::unique_ptr<sim::Mailbox<Completion>>>
       completions_;
+  // Mailboxes of terminated processes.  A wait() already woken by a
+  // completion may still be scheduled to resume inside Mailbox::get, so
+  // the mailbox must outlive the process.
+  std::vector<std::unique_ptr<sim::Mailbox<Completion>>> retired_mailboxes_;
   std::uint64_t next_move_seq_ = 1;
   std::uint64_t frames_out_ = 0;
   std::uint64_t move_frames_ = 0;

@@ -90,6 +90,12 @@ struct LinkPair {
   EndId end2;
 };
 
+// Ack coalescing: after a delivery the owed ack is withheld for this
+// long, hoping to piggyback on a data frame headed the other way on the
+// same link; if none leaves in time a standalone MsgAck goes out so
+// idle links still ack promptly (DESIGN.md §12).
+inline constexpr sim::Duration kAckCoalesceDelay = sim::msec(3);
+
 // Cost model, nominally a VAX 11/750 running the (deliberately
 // unoptimized) Charlotte kernel.  Calibrated so that a null
 // kernel-level RPC round trip lands near the paper's 55 ms and a
@@ -104,12 +110,6 @@ struct Costs {
   // extra kernel work when a frame carries an enclosure (move protocol
   // bookkeeping on each involved kernel)
   sim::Duration enclosure_processing = sim::msec(2);
-  // Ack coalescing (ack protocol v2): after a delivery the owed ack is
-  // withheld for this long, hoping to piggyback on a data frame headed
-  // the other way on the same link; if none leaves in time a standalone
-  // MsgAck goes out so idle links still ack promptly.  0 = ack
-  // immediately with a standalone frame (the v1 wire behaviour).
-  sim::Duration ack_coalesce_delay = sim::msec(3);
   // ---- RPC formation (src/form/, DESIGN.md §14) ----
   // Kernel frames posted to the same destination node within form_delay
   // of each other are packed into one form::Batch wire frame of up to
@@ -126,18 +126,11 @@ struct Costs {
   // ring never loses frames, so Charlotte never needed one).  When
   // enabled, an unacked Msg is retransmitted until max_send_attempts,
   // then the kernel declares the link failed — Charlotte's absolute
-  // failure notice.
+  // failure notice.  The timeout is only the RTO before the first
+  // sample: from then on a per-end Jacobson/Karels estimator
+  // (common::RttEstimator) paces retransmissions, doubling per attempt.
   sim::Duration send_retransmit_timeout = sim::Duration(0);
   int max_send_attempts = 5;
-  // Retransmission pacing.  With adaptive_rto the kernel keeps a
-  // Jacobson/Karels estimator per link end (srtt + 4*rttvar, Karn's
-  // rule for samples) and doubles the timeout on every retransmission;
-  // send_retransmit_timeout is then only the initial RTO before the
-  // first sample.  false = the v1 behaviour: a fixed timeout re-armed
-  // verbatim after every attempt.
-  bool adaptive_rto = true;
-  sim::Duration rto_min = sim::msec(10);
-  sim::Duration rto_max = sim::msec(2000);
   // TESTING ONLY — a deliberately injected semantic bug used by the
   // schedule-exploration checker (src/check/) to prove it can catch and
   // shrink real divergences.  When true, an already-delivered Msg whose

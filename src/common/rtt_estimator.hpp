@@ -1,6 +1,6 @@
 // Jacobson/Karels round-trip-time estimator (the SIGCOMM '88 gains:
 // srtt moves by err/8, rttvar by |err|/4), shared by every substrate's
-// ack protocol v2 (DESIGN.md §12).  Charlotte keeps one per link end
+// ack protocol (DESIGN.md §12).  Charlotte keeps one per link end
 // (reset when the end moves — a new path makes old samples stale);
 // SODA keeps one per peer node.  Karn's rule — never sample a
 // retransmitted exchange — is the caller's responsibility: only feed
@@ -12,6 +12,12 @@
 #include "sim/time.hpp"
 
 namespace common {
+
+// Bounds on every adaptive retransmission timeout, shared by Charlotte
+// and SODA: the floor keeps a fast path from retransmitting into its own
+// ack, the ceiling caps exponential backoff against a silent peer.
+inline constexpr sim::Duration kRtoMin = sim::msec(10);
+inline constexpr sim::Duration kRtoMax = sim::msec(2000);
 
 struct RttEstimator {
   bool have_sample = false;
@@ -30,13 +36,12 @@ struct RttEstimator {
     srtt += err / 8;
   }
 
-  // Retransmission timeout: srtt + 4*rttvar clamped to [rmin, rmax];
-  // `fallback` (typically the substrate's fixed timeout knob) until the
+  // Retransmission timeout: srtt + 4*rttvar clamped to [kRtoMin,
+  // kRtoMax]; `initial` (the substrate's configured timeout) until the
   // first sample lands.
-  [[nodiscard]] sim::Duration rto(sim::Duration fallback, sim::Duration rmin,
-                                  sim::Duration rmax) const {
-    if (!have_sample) return fallback;
-    return std::clamp(srtt + 4 * rttvar, rmin, rmax);
+  [[nodiscard]] sim::Duration rto(sim::Duration initial) const {
+    if (!have_sample) return initial;
+    return std::clamp(srtt + 4 * rttvar, kRtoMin, kRtoMax);
   }
 };
 

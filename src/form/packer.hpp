@@ -3,8 +3,8 @@
 // One Packer per (engine, sending kernel); it sits between the kernel's
 // transmit path and the medium.  Unicast frames are queued per
 // destination node and flushed as a single form::Batch frame when one
-// of three triggers fires, the same knob idiom as Charlotte's
-// Costs::ack_coalesce_delay:
+// of three triggers fires, the same deadline idiom as Charlotte's ack
+// coalescing (charlotte::kAckCoalesceDelay):
 //
 //   * byte budget — pending enclosures reach Params::max_bytes;
 //   * deadline    — Params::delay elapsed since the queue went

@@ -16,6 +16,7 @@
 
 #include "common/strong_id.hpp"
 #include "lynx/message.hpp"
+#include "sim/sync.hpp"
 #include "sim/task.hpp"
 
 namespace lynx {
@@ -53,12 +54,36 @@ struct SendOutcome {
 };
 
 // A send in flight.  The runtime awaits it in the sending thread and may
-// cancel it from an abort path.
+// cancel it from an abort path; the owning backend settles it.  Only the
+// first settle counts, and a cancel after it is a no-op — otherwise
+// cancel() goes to the backend through the hook it supplied.
 class PendingSend {
  public:
-  virtual ~PendingSend() = default;
-  [[nodiscard]] virtual sim::Task<SendOutcome> wait() = 0;
-  virtual void cancel() = 0;
+  using CancelHook = std::function<void(PendingSend&)>;
+
+  PendingSend(sim::Engine& engine, CancelHook on_cancel)
+      : done_(engine), on_cancel_(std::move(on_cancel)) {}
+  PendingSend(const PendingSend&) = delete;
+  PendingSend& operator=(const PendingSend&) = delete;
+
+  [[nodiscard]] sim::Task<SendOutcome> wait() { return done_.take(); }
+
+  void cancel() {
+    if (!settled_) on_cancel_(*this);
+  }
+
+  void settle(SendOutcome out) {
+    if (settled_) return;
+    settled_ = true;
+    done_.fulfill(std::move(out));
+  }
+
+  [[nodiscard]] bool settled() const { return settled_; }
+
+ private:
+  sim::OneShot<SendOutcome> done_;
+  CancelHook on_cancel_;
+  bool settled_ = false;
 };
 
 struct BackendEvent {

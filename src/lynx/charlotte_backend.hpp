@@ -38,8 +38,6 @@
 
 namespace lynx {
 
-class CharlottePendingSend;
-
 class CharlotteBackend final : public Backend {
  public:
   CharlotteBackend(charlotte::Cluster& cluster, net::NodeId node);
@@ -96,8 +94,6 @@ class CharlotteBackend final : public Backend {
       Process& a, Process& b);
 
  private:
-  friend class CharlottePendingSend;
-
   enum class PType : std::uint8_t {
     kRequest = 0,
     kReply = 1,
@@ -122,7 +118,7 @@ class CharlotteBackend final : public Backend {
     int next_enclosure = 0;      // how many already shipped
     bool awaiting_goahead = false;
     bool cancel_requested = false;
-    CharlottePendingSend* ps = nullptr;  // null once resolved
+    PendingSend* ps = nullptr;  // null once resolved
     std::uint64_t trace = 0;     // causal identity from the WireMessage
   };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
+#include <utility>
 
 #include "trace/trace.hpp"
 
@@ -43,6 +45,17 @@ constexpr std::uint32_t kCodePoison = 15;
                                                   std::uint32_t code) {
   return static_cast<std::uint32_t>(obj.value() << 4) | code;
 }
+
+// Batched dual-queue drains (DESIGN.md §12): each pump wakeup services
+// up to this many ready notices through one Kernel::dequeue_many
+// dispatch instead of paying a full dq_dequeue per notice.
+constexpr std::size_t kDrainMaxNotices = 16;
+
+// Consumed-notice coalescing (DESIGN.md §12): after consuming a request
+// we owe the sender a CONSUMED notice — but if our reply goes out within
+// this delay, the reply's FILLED notice proves consumption (RPC
+// ordering) and the standalone notice is skipped.
+constexpr sim::Duration kConsumedCoalesceDelay = sim::msec(2);
 
 // object header offsets
 constexpr std::size_t kOffFlags = 0;
@@ -117,46 +130,6 @@ DecodedBuffer decode_buffer(const Bytes& raw) {
 }
 
 }  // namespace
-
-// A Chrysalis send in flight: resolved by the pump when the consumed
-// notice arrives (or by destruction / cancellation).
-class ChrysalisPendingSend final : public PendingSend {
- public:
-  ChrysalisPendingSend(ChrysalisBackend& backend, BLink link, MsgKind kind,
-                       sim::Engine& engine)
-      : backend_(&backend), link_(link), kind_(kind), done_(engine) {}
-
-  sim::Task<SendOutcome> wait() override {
-    SendOutcome out = co_await done_.take();
-    co_return out;
-  }
-
-  void cancel() override {
-    if (settled_) return;
-    cancel_requested_ = true;
-    backend_->request_cancel(link_, this);
-  }
-
-  void settle(SendOutcome out) {
-    if (settled_) return;
-    settled_ = true;
-    done_.fulfill(std::move(out));
-  }
-
-  [[nodiscard]] bool settled() const { return settled_; }
-  [[nodiscard]] MsgKind kind() const { return kind_; }
-
-  std::vector<BLink> enclosures;  // backend tokens riding this send
-
- private:
-  friend class ChrysalisBackend;
-  ChrysalisBackend* backend_;
-  BLink link_;
-  MsgKind kind_;
-  sim::OneShot<SendOutcome> done_;
-  bool settled_ = false;
-  bool cancel_requested_ = false;
-};
 
 // ===================== backend =====================
 
@@ -236,26 +209,19 @@ sim::Task<> ChrysalisBackend::pump() {
     ready_->open();
   }
   for (;;) {
-    // Batched drain (ack protocol v2, DESIGN.md §12): one dequeue_many
-    // dispatch services every ready notice; an empty queue falls back to
-    // a bare event wait (the dequeue left our event name — or the cheap
-    // flag — behind).
+    // Batched drain: one dequeue_many dispatch services every ready
+    // notice; an empty queue falls back to a bare event wait (the
+    // dequeue left our event name — or the cheap flag — behind).
     std::vector<std::uint32_t> batch;
-    if (params_.batched_drain) {
-      auto got = co_await kernel_->dequeue_many(pid_, my_dq_, my_event_,
-                                                params_.drain_max_notices);
-      if (!got.ok()) break;
-      if (got.value().would_block) {
-        auto datum = co_await kernel_->wait_event(pid_, my_event_);
-        if (!datum.ok()) break;
-        batch.push_back(datum.value());
-      } else {
-        batch = std::move(got.value().data);
-      }
-    } else {
-      auto datum = co_await kernel_->dequeue_wait(pid_, my_dq_, my_event_);
+    auto got = co_await kernel_->dequeue_many(pid_, my_dq_, my_event_,
+                                              kDrainMaxNotices);
+    if (!got.ok()) break;
+    if (got.value().would_block) {
+      auto datum = co_await kernel_->wait_event(pid_, my_event_);
       if (!datum.ok()) break;
       batch.push_back(datum.value());
+    } else {
+      batch = std::move(got.value().data);
     }
     bool poisoned = false;
     for (const std::uint32_t raw : batch) {
@@ -334,16 +300,30 @@ sim::Task<std::pair<BLink, BLink>> ChrysalisBackend::make_link() {
 
 std::unique_ptr<PendingSend> ChrysalisBackend::begin_send(BLink link,
                                                           WireMessage msg) {
-  auto ps = std::make_unique<ChrysalisPendingSend>(*this, link, msg.kind,
-                                                   kernel_->engine());
-  ps->enclosures = msg.enclosures;
+  // The whole encoded message must fit the link's per-direction buffer
+  // (encode_buffer's layout); refuse it before any slot or notice moves,
+  // so the link stays usable for a smaller message.
+  const std::size_t encoded =
+      4 + msg.body.size() + 1 + 9 * msg.enclosures.size() + 8;
+  if (encoded > params_.max_message_bytes) {
+    throw LynxError(ErrorKind::kMessageTooLarge,
+                    std::to_string(encoded) + " bytes exceed the " +
+                        std::to_string(params_.max_message_bytes) +
+                        "-byte link buffer");
+  }
+  const MsgKind kind = msg.kind;
+  auto ps = std::make_unique<PendingSend>(
+      kernel_->engine(), [this, link, kind](PendingSend& self) {
+        kernel_->engine().spawn("chrysalis-cancel",
+                                perform_cancel(link, kind, &self));
+      });
   kernel_->engine().spawn("chrysalis-send",
                           perform_send(link, std::move(msg), ps.get()));
   return ps;
 }
 
 sim::Task<> ChrysalisBackend::perform_send(BLink link, WireMessage msg,
-                                           ChrysalisPendingSend* ps) {
+                                           PendingSend* ps) {
   LinkRec* rec = find(link);
   if (rec == nullptr || rec->destroyed) {
     ps->settle(SendOutcome{SendResult::kLinkDestroyed, {}});
@@ -392,8 +372,6 @@ sim::Task<> ChrysalisBackend::perform_send(BLink link, WireMessage msg,
     encs.emplace_back(er->obj.value(), er->side);
   }
   Bytes buf = encode_buffer(msg.body, encs, msg.trace_id);
-  RELYNX_ASSERT_MSG(buf.size() + 4 <= 4 + params_.max_message_bytes,
-                    "message exceeds link buffer");
   // One block transfer covers the length word and the payload — the
   // flag bit (set below) is what publishes the slot, so the combined
   // write needs no internal ordering.
@@ -416,11 +394,11 @@ sim::Task<> ChrysalisBackend::perform_send(BLink link, WireMessage msg,
         chrysalis::DqId(dq_name.value()),
         make_notice(obj, kCodeFilledBase + static_cast<std::uint32_t>(slot)));
   }
-  // Enclosure-free replies resolve early (ack protocol v2, DESIGN.md
-  // §12): the flag bit is absolute truth and the buffer lives in the
-  // link object, which shared memory keeps intact until the consumer
-  // reads it regardless of what this process does next — waiting for
-  // the consumed hint teaches us nothing the flag write didn't.
+  // Enclosure-free replies resolve early (DESIGN.md §12): the flag bit
+  // is absolute truth and the buffer lives in the link object, which
+  // shared memory keeps intact until the consumer reads it regardless of
+  // what this process does next — waiting for the consumed hint teaches
+  // us nothing the flag write didn't.
   if (msg.kind == MsgKind::kReply && msg.enclosures.empty()) {
     ps->settle(SendOutcome{SendResult::kDelivered, {}});
     co_return;
@@ -431,7 +409,9 @@ sim::Task<> ChrysalisBackend::perform_send(BLink link, WireMessage msg,
     ps->settle(SendOutcome{SendResult::kLinkDestroyed, {}});
     co_return;
   }
-  (msg.kind == MsgKind::kReply ? rec->out_rep : rec->out_req).ps = ps;
+  PendingOut& out = msg.kind == MsgKind::kReply ? rec->out_rep : rec->out_req;
+  out.ps = ps;
+  out.enclosures = std::move(msg.enclosures);
 }
 
 void ChrysalisBackend::handle_consumed(chrysalis::MemId obj, int slot) {
@@ -440,13 +420,13 @@ void ChrysalisBackend::handle_consumed(chrysalis::MemId obj, int slot) {
   LinkRec* rec = side_rec(obj, sender_side);
   if (rec == nullptr) return;  // stale hint
   PendingOut& out = slot_is_reply(slot) ? rec->out_rep : rec->out_req;
-  ChrysalisPendingSend* ps = out.ps;
+  PendingSend* ps = out.ps;
   if (ps == nullptr) return;  // stale hint
   out.ps = nullptr;
   // Delivered: the moved ends now belong to the receiver.  Unmap the
   // object only if we hold no other end of it (we might own both ends
   // of a fresh link and have sent just one).
-  for (BLink e : ps->enclosures) {
+  for (BLink e : std::exchange(out.enclosures, {})) {
     if (LinkRec* er = find(e)) {
       const chrysalis::MemId eobj = er->obj;
       unindex_link(*er);
@@ -465,13 +445,17 @@ sim::Task<> ChrysalisBackend::post_deferred_consumed(BLink token) {
   LinkRec* rec = find(token);
   if (rec == nullptr || rec->destroyed || !rec->consumed_owed) co_return;
   rec->consumed_owed = false;
-  const chrysalis::MemId obj = rec->obj;
-  const std::uint8_t sender_side = rec->side ^ 1;
-  const auto slot = static_cast<std::uint32_t>(rec->consumed_slot);
+  co_await post_consumed(rec->obj, rec->side ^ 1, rec->consumed_slot);
+}
+
+sim::Task<> ChrysalisBackend::post_consumed(chrysalis::MemId obj,
+                                            std::uint8_t sender_side,
+                                            int slot) {
   auto dq_name = co_await kernel_->read32(pid_, obj, dq_offset(sender_side));
   if (dq_name.ok()) {
-    co_await post_notice(chrysalis::DqId(dq_name.value()),
-                         make_notice(obj, kCodeConsumedBase + slot));
+    co_await post_notice(
+        chrysalis::DqId(dq_name.value()),
+        make_notice(obj, kCodeConsumedBase + static_cast<std::uint32_t>(slot)));
   }
 }
 
@@ -507,51 +491,34 @@ sim::Task<> ChrysalisBackend::consume_incoming(chrysalis::MemId obj,
   (void)co_await kernel_->fetch_and16(
       pid_, obj, kOffFlags, static_cast<std::uint16_t>(~slot_bit(slot)));
   DecodedBuffer decoded = decode_buffer(raw.value());
-  // Ack the producer (ack protocol v2, DESIGN.md §12):
+  // Ack the producer (DESIGN.md §12):
   //  * enclosure-free replies: the sender resolved early at the flag
   //    write — nobody is parked on the hint, skip the dq round trip;
   //  * replies generally: their arrival proves our own request on this
   //    link was consumed (RPC ordering), so settle the parked request
   //    send now — its CONSUMED notice may have been piggybacked away;
-  //  * requests: defer the CONSUMED notice by consumed_coalesce_delay —
-  //    if our reply beats the timer, the notice is never posted.
+  //  * requests: defer the CONSUMED notice by kConsumedCoalesceDelay —
+  //    if our reply beats the timer, the notice is never posted;
+  //  * requests whose end vanished during the reads above: nobody is
+  //    left to reply, so post the notice now.
   const std::uint8_t sender_side = recv_side ^ 1;
   if (slot_is_reply(slot)) {
     handle_consumed(obj, recv_side == 0 ? 0 : 2);
-    if (!decoded.encs.empty()) {
-      auto dq_name =
-          co_await kernel_->read32(pid_, obj, dq_offset(sender_side));
-      if (dq_name.ok()) {
-        co_await post_notice(
-            chrysalis::DqId(dq_name.value()),
-            make_notice(obj,
-                        kCodeConsumedBase + static_cast<std::uint32_t>(slot)));
-      }
-    }
+    if (!decoded.encs.empty()) co_await post_consumed(obj, sender_side, slot);
+  } else if (rec = side_rec(obj, recv_side);  // re-find: awaits may rehash
+             rec != nullptr && !rec->destroyed) {
+    const BLink owed_token = rec->token;
+    if (rec->consumed_owed) rec->consumed_timer.cancel();
+    rec->consumed_owed = true;
+    rec->consumed_slot = slot;
+    rec->consumed_trace = decoded.trace;
+    rec->consumed_timer = kernel_->engine().schedule_cancellable(
+        kConsumedCoalesceDelay, [this, owed_token] {
+          kernel_->engine().spawn("chrysalis-consumed",
+                                  post_deferred_consumed(owed_token));
+        });
   } else {
-    rec = side_rec(obj, recv_side);  // re-find: awaits above may rehash
-    if (rec != nullptr && !rec->destroyed &&
-        params_.consumed_coalesce_delay > 0) {
-      const BLink owed_token = rec->token;
-      if (rec->consumed_owed) rec->consumed_timer.cancel();
-      rec->consumed_owed = true;
-      rec->consumed_slot = slot;
-      rec->consumed_trace = decoded.trace;
-      rec->consumed_timer = kernel_->engine().schedule_cancellable(
-          params_.consumed_coalesce_delay, [this, owed_token] {
-            kernel_->engine().spawn("chrysalis-consumed",
-                                    post_deferred_consumed(owed_token));
-          });
-    } else {
-      auto dq_name =
-          co_await kernel_->read32(pid_, obj, dq_offset(sender_side));
-      if (dq_name.ok()) {
-        co_await post_notice(
-            chrysalis::DqId(dq_name.value()),
-            make_notice(obj,
-                        kCodeConsumedBase + static_cast<std::uint32_t>(slot)));
-      }
-    }
+    co_await post_consumed(obj, sender_side, slot);
   }
   if (auto* trec = trace::get(kernel_->engine())) {
     trec->instant(node_.value(), "backend", "slot.consume", decoded.trace,
@@ -645,23 +612,18 @@ sim::Task<> ChrysalisBackend::handle_destroyed_notice(chrysalis::MemId obj) {
   }
 }
 
-void ChrysalisBackend::request_cancel(BLink link, ChrysalisPendingSend* ps) {
-  kernel_->engine().spawn("chrysalis-cancel", perform_cancel(link, ps));
-}
-
-sim::Task<> ChrysalisBackend::perform_cancel(BLink link,
-                                             ChrysalisPendingSend* ps) {
+sim::Task<> ChrysalisBackend::perform_cancel(BLink link, MsgKind kind,
+                                             PendingSend* ps) {
   LinkRec* rec = find(link);
   if (rec == nullptr || ps->settled()) co_return;
-  const int slot = out_slot(rec->side, ps->kind());
+  const int slot = out_slot(rec->side, kind);
   // Revoke if the peer has not consumed it yet: clear the flag.
   auto old = co_await kernel_->fetch_and16(
       pid_, rec->obj, kOffFlags,
       static_cast<std::uint16_t>(~slot_bit(slot)));
   rec = find(link);
   if (rec == nullptr || ps->settled()) co_return;
-  PendingOut& out = ps->kind() == MsgKind::kReply ? rec->out_rep
-                                                  : rec->out_req;
+  PendingOut& out = kind == MsgKind::kReply ? rec->out_rep : rec->out_req;
   if (old.ok() && (old.value() & slot_bit(slot))) {
     // We won the race; the enclosures were never installed remotely, so
     // nothing is lost (capability 3).

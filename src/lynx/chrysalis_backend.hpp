@@ -22,6 +22,7 @@
 #include <array>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "chrysalis/kernel.hpp"
 #include "lynx/backend.hpp"
@@ -39,19 +40,6 @@ struct ChrysalisBackendParams {
   // batch).  0 = one enqueue per notice (the default).
   sim::Duration form_delay = sim::Duration(0);
   std::size_t form_max_notices = 16;
-  // Batched dual-queue drains (ack protocol v2, DESIGN.md §12): each
-  // pump wakeup services every ready notice through one
-  // Kernel::dequeue_many dispatch instead of paying a full dq_dequeue
-  // per notice.  false = one notice per wakeup (the v1 behaviour).
-  bool batched_drain = true;
-  std::size_t drain_max_notices = 16;
-  // Consumed-notice coalescing (the ack-v2 piggyback, DESIGN.md §12):
-  // after consuming a request we owe the sender a CONSUMED notice — but
-  // if our reply goes out within this delay, the reply's FILLED notice
-  // proves consumption (RPC ordering) and the standalone notice is
-  // skipped; the requester infers delivery from the reply itself.
-  // 0 = post immediately (the v1 behaviour).
-  sim::Duration consumed_coalesce_delay = sim::msec(2);
 };
 
 class ChrysalisBackend final : public Backend {
@@ -96,10 +84,10 @@ class ChrysalisBackend final : public Backend {
       Process& a, Process& b);
 
  private:
-  friend class ChrysalisPendingSend;
-
+  // A send parked until the CONSUMED notice (or destruction) settles it.
   struct PendingOut {
-    class ChrysalisPendingSend* ps = nullptr;
+    PendingSend* ps = nullptr;
+    std::vector<BLink> enclosures;  // ends riding it, dropped on delivery
   };
   struct LinkRec {
     BLink token;
@@ -111,7 +99,7 @@ class ChrysalisBackend final : public Backend {
     PendingOut out_req;
     PendingOut out_rep;
     // A CONSUMED notice we owe the peer for their request, deferred by
-    // consumed_coalesce_delay in the hope our reply makes it redundant.
+    // kConsumedCoalesceDelay in the hope our reply makes it redundant.
     bool consumed_owed = false;
     int consumed_slot = -1;
     std::uint64_t consumed_trace = 0;
@@ -136,12 +124,14 @@ class ChrysalisBackend final : public Backend {
   [[nodiscard]] sim::Task<> consume_incoming(chrysalis::MemId obj, int slot);
   void handle_consumed(chrysalis::MemId obj, int slot);
   [[nodiscard]] sim::Task<> post_deferred_consumed(BLink token);
+  // Posts the CONSUMED notice for `slot` to the sending side's queue.
+  [[nodiscard]] sim::Task<> post_consumed(chrysalis::MemId obj,
+                                          std::uint8_t sender_side, int slot);
   [[nodiscard]] sim::Task<> handle_destroyed_notice(chrysalis::MemId obj);
   [[nodiscard]] sim::Task<> perform_send(BLink link, WireMessage msg,
-                                         class ChrysalisPendingSend* ps);
-  void request_cancel(BLink link, class ChrysalisPendingSend* ps);
-  [[nodiscard]] sim::Task<> perform_cancel(BLink link,
-                                           class ChrysalisPendingSend* ps);
+                                         PendingSend* ps);
+  [[nodiscard]] sim::Task<> perform_cancel(BLink link, MsgKind kind,
+                                           PendingSend* ps);
   [[nodiscard]] sim::Task<> perform_destroy_bits(chrysalis::MemId obj,
                                                  std::uint8_t side);
   [[nodiscard]] sim::Task<> perform_shutdown();

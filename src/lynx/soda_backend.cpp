@@ -78,37 +78,6 @@ soda::Name decode_name(const soda::Payload& raw) {
 
 }  // namespace
 
-// A SODA send in flight.
-class SodaPendingSend final : public PendingSend {
- public:
-  SodaPendingSend(SodaBackend& backend, std::uint64_t out_id,
-                  sim::Engine& engine)
-      : backend_(&backend), out_id_(out_id), done_(engine) {}
-
-  sim::Task<SendOutcome> wait() override {
-    SendOutcome out = co_await done_.take();
-    co_return out;
-  }
-
-  void cancel() override {
-    if (settled_) return;
-    backend_->request_cancel(out_id_);
-  }
-
-  void settle(SendOutcome out) {
-    if (settled_) return;
-    settled_ = true;
-    done_.fulfill(std::move(out));
-  }
-
- private:
-  friend class SodaBackend;
-  SodaBackend* backend_;
-  std::uint64_t out_id_;
-  sim::OneShot<SendOutcome> done_;
-  bool settled_ = false;
-};
-
 // ===================== setup =====================
 
 SodaBackend::SodaBackend(soda::Network& network, SodaDirectory& directory,
@@ -195,8 +164,8 @@ sim::Task<std::pair<BLink, BLink>> SodaBackend::make_link() {
 std::unique_ptr<PendingSend> SodaBackend::begin_send(BLink token,
                                                      WireMessage msg) {
   const std::uint64_t id = next_out_id_++;
-  auto ps =
-      std::make_unique<SodaPendingSend>(*this, id, network_->engine());
+  auto ps = std::make_unique<PendingSend>(
+      network_->engine(), [this, id](PendingSend&) { request_cancel(id); });
   OutSend out;
   out.id = id;
   out.link = token;

@@ -36,8 +36,6 @@
 
 namespace lynx {
 
-class SodaPendingSend;
-
 // Shared per-experiment directory: "SODA makes it easy to guess their
 // ids" — the freeze search needs to reach every LYNX process, so each
 // backend publishes its pid and freeze name here.
@@ -106,8 +104,6 @@ class SodaBackend final : public Backend {
       Process& a, Process& b);
 
  private:
-  friend class SodaPendingSend;
-
   // accept / completion out-of-band codes (word 0)
   enum class Oop : std::uint32_t {
     kRequestMsg = 1,   // request oob: a LYNX request rides this put
@@ -161,7 +157,7 @@ class SodaBackend final : public Backend {
     soda::ReqId req;               // current kernel request
     soda::Pid target;              // pid the request went to
     std::vector<BLink> enclosure_tokens;
-    SodaPendingSend* ps = nullptr;
+    PendingSend* ps = nullptr;
     bool cancel_requested = false;
     // The LYNX thread was released before the kernel leg finished (the
     // early reply resolve, DESIGN.md §12); shutdown drains these.

@@ -83,14 +83,12 @@ Kernel::Kernel(Network& network, net::NodeId node)
 void Kernel::transmit(net::NodeId dst, WireFrame frame, std::size_t bytes,
                       std::uint64_t trace) {
   attach_frag_ack(dst, frame);
-  if (v2_acks()) {
-    // The frontier can never legitimately exceed the live fragment
-    // that carries it — clamp so a frame is never self-screening.
-    if (auto* rf = std::get_if<ReqFrag>(&frame)) {
-      if (rf->tseq > 0) rf->tseq_base = std::min(tx_frontier(dst), rf->tseq);
-    } else if (auto* af = std::get_if<AcceptFrag>(&frame)) {
-      if (af->tseq > 0) af->tseq_base = std::min(tx_frontier(dst), af->tseq);
-    }
+  // The frontier can never legitimately exceed the live fragment that
+  // carries it — clamp so a frame is never self-screening.
+  if (auto* rf = std::get_if<ReqFrag>(&frame)) {
+    if (rf->tseq > 0) rf->tseq_base = std::min(tx_frontier(dst), rf->tseq);
+  } else if (auto* af = std::get_if<AcceptFrag>(&frame)) {
+    if (af->tseq > 0) af->tseq_base = std::min(tx_frontier(dst), af->tseq);
   }
   ++frames_out_;
   if (auto* rec = trace::get(network_->engine())) {
@@ -106,20 +104,14 @@ bool Kernel::acks_enabled() const {
   return network_->costs().ack_timeout > 0;
 }
 
-bool Kernel::v2_acks() const {
-  return acks_enabled() && network_->costs().cumulative_acks;
-}
-
-// ---- ack protocol v2: receiver side ------------------------------------
+// ---- transport acks: receiver side -------------------------------------
 
 bool Kernel::transport_dup(net::NodeId from, std::uint64_t tseq) {
-  if (tseq == 0) return false;
   const PeerRx& rx = peer_rx_[from];
   return tseq <= rx.watermark || rx.ooo.contains(tseq);
 }
 
 void Kernel::record_tseq(net::NodeId from, std::uint64_t tseq) {
-  if (tseq == 0) return;
   PeerRx& rx = peer_rx_[from];
   if (tseq <= rx.watermark) return;
   rx.ooo.insert(tseq);
@@ -171,13 +163,8 @@ void Kernel::owe_transport_ack(net::NodeId to, std::uint64_t trace) {
   rx.owed_trace = trace;
   if (rx.ack_owed) return;  // the pending ack's deadline covers this one
   rx.ack_owed = true;
-  const sim::Duration delay = network_->costs().ack_coalesce_delay;
-  if (delay <= 0) {
-    flush_transport_ack(to);
-    return;
-  }
   rx.ack_timer = network_->engine().schedule_cancellable(
-      delay, [this, to] { flush_transport_ack(to); });
+      kAckCoalesceDelay, [this, to] { flush_transport_ack(to); });
 }
 
 void Kernel::flush_transport_ack(net::NodeId to) {
@@ -197,17 +184,13 @@ void Kernel::reack_now(net::NodeId to, std::uint64_t trace) {
 }
 
 void Kernel::ack_req_frag(net::NodeId from, const ReqFrag& f) {
-  if (!acks_enabled()) return;
-  if (f.tseq > 0) {
-    record_tseq(from, f.tseq);
-    owe_transport_ack(from, f.trace);
-  } else {
-    transmit(from, ReqAck{f.req, f.frag_index}, 8, f.trace);
-  }
+  if (f.tseq == 0) return;  // untracked: nobody is waiting for an ack
+  record_tseq(from, f.tseq);
+  owe_transport_ack(from, f.trace);
 }
 
 void Kernel::attach_frag_ack(net::NodeId dst, WireFrame& frame) {
-  if (!v2_acks()) return;
+  if (!acks_enabled()) return;
   auto it = peer_rx_.find(dst);
   if (it == peer_rx_.end() || !it->second.ack_owed) return;
   PeerRx& rx = it->second;
@@ -228,13 +211,12 @@ void Kernel::attach_frag_ack(net::NodeId dst, WireFrame& frame) {
   }
 }
 
-// ---- ack protocol v2: sender side --------------------------------------
+// ---- transport acks: sender side ---------------------------------------
 
 void Kernel::apply_cumulative_ack(net::NodeId from, std::uint64_t watermark) {
-  const Costs& costs = network_->costs();
   const sim::Time now = network_->engine().now();
   for (auto& [req, ts] : transport_) {
-    if (ts.dst != from || ts.tseq.empty()) continue;
+    if (ts.dst != from) continue;
     bool all = true;
     bool any_new = false;
     for (std::size_t i = 0; i < ts.tseq.size(); ++i) {
@@ -244,8 +226,7 @@ void Kernel::apply_cumulative_ack(net::NodeId from, std::uint64_t watermark) {
       }
       all = all && ts.acked[i];
     }
-    if (all && any_new && costs.adaptive_rto && ts.attempts == 1 &&
-        ts.first_sent_at > 0) {
+    if (all && any_new && ts.attempts == 1 && ts.first_sent_at > 0) {
       // Karn's rule: only unretransmitted exchanges produce samples.
       peer_tx_[from].rtt.observe(now - ts.first_sent_at);
       ts.first_sent_at = 0;
@@ -253,7 +234,7 @@ void Kernel::apply_cumulative_ack(net::NodeId from, std::uint64_t watermark) {
   }
   std::vector<ReqId> finished;
   for (auto& [req, pa] : pending_accepts_) {
-    if (pa.dst != from || pa.tseq.empty()) continue;
+    if (pa.dst != from) continue;
     bool all = true;
     bool any_new = false;
     for (std::size_t i = 0; i < pa.tseq.size(); ++i) {
@@ -264,8 +245,7 @@ void Kernel::apply_cumulative_ack(net::NodeId from, std::uint64_t watermark) {
       all = all && pa.acked[i];
     }
     if (all) {
-      if (any_new && costs.adaptive_rto && pa.attempts == 1 &&
-          pa.first_sent_at > 0) {
+      if (any_new && pa.attempts == 1 && pa.first_sent_at > 0) {
         peer_tx_[from].rtt.observe(now - pa.first_sent_at);
       }
       finished.push_back(req);
@@ -447,11 +427,10 @@ void Kernel::send_request_frags(const Outstanding& out,
   const std::size_t len = out.data.size();
   const auto frag_count = static_cast<std::uint32_t>(
       len == 0 ? 1 : (len + mtu - 1) / mtu);
-  // v2 wire: each fragment carries the per-peer transport sequence it
-  // was assigned at first transmission (stored on the tracker).
+  // Each fragment carries the per-peer transport sequence it was
+  // assigned at first transmission (stored on the tracker).
   const std::vector<std::uint64_t>* tseqs = nullptr;
-  if (auto tt = transport_.find(out.id);
-      tt != transport_.end() && !tt->second.tseq.empty()) {
+  if (auto tt = transport_.find(out.id); tt != transport_.end()) {
     tseqs = &tt->second.tseq;
   }
   for (std::uint32_t i = 0; i < frag_count; ++i) {
@@ -510,11 +489,8 @@ void Kernel::note_done(ReqId req) {
 void Kernel::arm_transport_timer(ReqId req) {
   auto it = transport_.find(req);
   if (it == transport_.end()) return;
-  const sim::Duration rto = it->second.cur_rto > 0
-                                ? it->second.cur_rto
-                                : network_->costs().ack_timeout;
   it->second.timer = network_->engine().schedule_cancellable(
-      rto, [this, req] { on_transport_timeout(req); });
+      it->second.cur_rto, [this, req] { on_transport_timeout(req); });
 }
 
 void Kernel::on_transport_timeout(ReqId req) {
@@ -548,9 +524,7 @@ void Kernel::on_transport_timeout(ReqId req) {
   }
   ++ts.attempts;
   ++retries_;
-  if (ts.cur_rto > 0) {  // exponential backoff, as Charlotte's v2
-    ts.cur_rto = std::min(ts.cur_rto * 2, network_->costs().rto_max);
-  }
+  ts.cur_rto = std::min(ts.cur_rto * 2, common::kRtoMax);  // backoff
   if (auto* rec = trace::get(network_->engine())) {
     rec->instant(node_.value(), "kernel", "req.retransmit", it->second.trace,
                  req.value(), static_cast<std::uint64_t>(ts.attempts));
@@ -562,11 +536,8 @@ void Kernel::on_transport_timeout(ReqId req) {
 void Kernel::arm_accept_timer(ReqId req) {
   auto it = pending_accepts_.find(req);
   if (it == pending_accepts_.end()) return;
-  const sim::Duration rto = it->second.cur_rto > 0
-                                ? it->second.cur_rto
-                                : network_->costs().ack_timeout;
   it->second.timer = network_->engine().schedule_cancellable(
-      rto, [this, req] { on_accept_timeout(req); });
+      it->second.cur_rto, [this, req] { on_accept_timeout(req); });
 }
 
 void Kernel::on_accept_timeout(ReqId req) {
@@ -583,35 +554,13 @@ void Kernel::on_accept_timeout(ReqId req) {
   }
   ++pa.attempts;
   ++retries_;
-  if (pa.cur_rto > 0) {
-    pa.cur_rto = std::min(pa.cur_rto * 2, network_->costs().rto_max);
-  }
+  pa.cur_rto = std::min(pa.cur_rto * 2, common::kRtoMax);
   if (auto* rec = trace::get(network_->engine())) {
     rec->instant(node_.value(), "kernel", "accept.retransmit", pa.trace,
                  req.value(), static_cast<std::uint64_t>(pa.attempts));
   }
   send_accept_frags(pa, &pa.acked);
   arm_accept_timer(req);
-}
-
-void Kernel::handle(const ReqAck& f, net::NodeId /*from*/) {
-  auto it = transport_.find(f.req);
-  if (it == transport_.end()) return;
-  if (f.frag_index < it->second.acked.size()) {
-    it->second.acked[f.frag_index] = true;
-  }
-}
-
-void Kernel::handle(const AcceptAck& f, net::NodeId /*from*/) {
-  auto it = pending_accepts_.find(f.req);
-  if (it == pending_accepts_.end()) return;
-  PendingAccept& pa = it->second;
-  if (f.frag_index < pa.acked.size()) pa.acked[f.frag_index] = true;
-  if (std::all_of(pa.acked.begin(), pa.acked.end(),
-                  [](bool b) { return b; })) {
-    pa.timer.cancel();
-    pending_accepts_.erase(it);
-  }
 }
 
 sim::Task<Result<ReqId>> Kernel::request(Pid caller, Pid target, Name name,
@@ -643,19 +592,14 @@ sim::Task<Result<ReqId>> Kernel::request(Pid caller, Pid target, Name name,
   const auto frag_count = static_cast<std::size_t>(frags);
   if (acks_enabled()) {
     // The tracker goes in before the fragments leave: send_request_frags
-    // reads the assigned tseqs from it (v2 wire).
+    // reads the assigned tseqs from it.
     TransportSend ts;
     ts.acked.assign(frag_count, false);
     ts.dst = out.target_node;
-    if (costs.cumulative_acks) {
-      PeerTx& tx = peer_tx_[out.target_node];
-      ts.tseq.resize(frag_count);
-      for (std::uint64_t& s : ts.tseq) s = tx.next_tseq++;
-      if (costs.adaptive_rto) {
-        ts.cur_rto =
-            tx.rtt.rto(costs.ack_timeout, costs.rto_min, costs.rto_max);
-      }
-    }
+    PeerTx& tx = peer_tx_[out.target_node];
+    ts.tseq.resize(frag_count);
+    for (std::uint64_t& s : ts.tseq) s = tx.next_tseq++;
+    ts.cur_rto = tx.rtt.rto(costs.ack_timeout);
     ts.first_sent_at = network_->engine().now();
     transport_.emplace(id, std::move(ts));
   }
@@ -733,18 +677,11 @@ sim::Task<Result<Payload>> Kernel::accept(Pid caller, ReqId request, Oob oob,
   pa.attempts = 1;
   pa.trace = parked.trace;
   if (acks_enabled()) {
-    const Costs& c = network_->costs();
-    if (c.cumulative_acks) {
-      PeerTx& tx = peer_tx_[pa.dst];
-      pa.tseq.resize(frag_count);
-      for (std::uint64_t& s : pa.tseq) s = tx.next_tseq++;
-      if (c.adaptive_rto) {
-        pa.cur_rto = tx.rtt.rto(c.ack_timeout, c.rto_min, c.rto_max);
-      }
-    }
+    PeerTx& tx = peer_tx_[pa.dst];
+    pa.tseq.resize(frag_count);
+    for (std::uint64_t& s : pa.tseq) s = tx.next_tseq++;
+    pa.cur_rto = tx.rtt.rto(costs.ack_timeout);
     pa.first_sent_at = network_->engine().now();
-  }
-  if (acks_enabled()) {
     // Tracker first, fragments second (like the request path): the
     // frontier scan in tx_frontier must see this accept's live tseqs,
     // or the fragments would carry a tseq_base beyond themselves and
@@ -765,13 +702,13 @@ void Kernel::handle(const ReqFrag& f, net::NodeId from) {
   // fragment itself.
   if (f.has_ack) apply_cumulative_ack(from, f.ack_seq);
 
-  // v2 wire: transport-level duplicates are screened by the per-peer
-  // watermark before any request-level state is consulted — the peer is
+  // Transport-level duplicates are screened by the per-peer watermark
+  // before any request-level state is consulted — the peer is
   // retransmitting because its ack was lost, so re-ack immediately
   // (never coalesced) and drop.  Unlike the done_set_ below, the
   // watermark never forgets, so arbitrarily-delayed duplicates cannot
   // be serviced twice.
-  if (acks_enabled() && f.tseq > 0) {
+  if (f.tseq > 0) {
     advance_base(from, f.tseq_base, f.trace);
     if (transport_dup(from, f.tseq)) {
       reack_now(from, f.trace);
@@ -889,20 +826,16 @@ void Kernel::handle(const AcceptFrag& f, net::NodeId from) {
   if (f.has_ack) apply_cumulative_ack(from, f.ack_seq);
   // Ack even when the request is already resolved here: the accepter
   // may be retransmitting because *its* acks were lost.  AcceptFrags
-  // carry no verdict, so v2 records the tseq at receipt; duplicates are
+  // carry no verdict, so the tseq is recorded at receipt; duplicates are
   // screened by the watermark and re-acked immediately.
-  if (acks_enabled()) {
-    if (f.tseq > 0) {
-      advance_base(from, f.tseq_base, f.trace);
-      if (transport_dup(from, f.tseq)) {
-        reack_now(from, f.trace);
-        return;
-      }
-      record_tseq(from, f.tseq);
-      owe_transport_ack(from, f.trace);
-    } else {
-      transmit(from, AcceptAck{f.req, f.frag_index}, 8, f.trace);
+  if (f.tseq > 0) {
+    advance_base(from, f.tseq_base, f.trace);
+    if (transport_dup(from, f.tseq)) {
+      reack_now(from, f.trace);
+      return;
     }
+    record_tseq(from, f.tseq);
+    owe_transport_ack(from, f.trace);
   }
   auto it = outstanding_.find(f.req);
   if (it == outstanding_.end()) return;

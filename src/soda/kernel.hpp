@@ -137,14 +137,14 @@ class Kernel {
     int attempts = 1;
     std::vector<bool> acked;  // per request fragment
     sim::TimerHandle timer;
-    // v2 wire: per-peer transport sequence number of each fragment,
-    // assigned once and reused verbatim across retransmissions.
+    // Per-peer transport sequence number of each fragment, assigned
+    // once and reused verbatim across retransmissions.
     net::NodeId dst;
     std::vector<std::uint64_t> tseq;
     sim::Time first_sent_at = 0;  // Karn: sample only unretransmitted
-    sim::Duration cur_rto = 0;    // 0 = fixed ack_timeout (v1)
+    sim::Duration cur_rto = 0;    // current timeout; doubles per attempt
   };
-  struct PendingAccept {  // accepter side, until AcceptAcks arrive
+  struct PendingAccept {  // accepter side, until its fragments are acked
     ReqId req;
     net::NodeId dst;
     Oob oob{};
@@ -159,7 +159,7 @@ class Kernel {
     sim::Time first_sent_at = 0;
     sim::Duration cur_rto = 0;
   };
-  // v2 per-peer transport state.  One sequence-number stream covers
+  // Per-peer transport state.  One sequence-number stream covers
   // every fragment this kernel sends to `peer`, so a single cumulative
   // watermark acknowledges request and accept legs alike.
   struct PeerTx {  // sender side
@@ -196,8 +196,10 @@ class Kernel {
     std::uint32_t frag_count = 1;
     Payload data;
     std::uint64_t trace = 0;
-    // v2 wire descriptor: per-peer transport sequence (0 = v1 frame) and
-    // an optional piggybacked cumulative ack for the reverse direction.
+    // Transport descriptor: per-peer transport sequence and an optional
+    // piggybacked cumulative ack for the reverse direction.  tseq 0 =
+    // untracked (acks disabled, or a NACK retry resent after the
+    // sender's transport tracker retired): never screened or acked.
     std::uint64_t tseq = 0;
     // Sender frontier: every tseq below this is acked or abandoned
     // (retransmission exhaustion at a crashed peer) — the receiver may
@@ -221,7 +223,7 @@ class Kernel {
     std::uint32_t frag_count = 1;
     Payload data;
     std::uint64_t trace = 0;
-    std::uint64_t tseq = 0;       // v2 wire descriptor, as ReqFrag
+    std::uint64_t tseq = 0;       // transport descriptor, as ReqFrag
     std::uint64_t tseq_base = 0;  // sender frontier, as ReqFrag
     bool has_ack = false;
     std::uint64_t ack_seq = 0;
@@ -229,15 +231,6 @@ class Kernel {
   struct CrashNote {
     ReqId req;
     Pid target;
-  };
-  // Transport acks (only exchanged when Costs::ack_timeout > 0).
-  struct ReqAck {
-    ReqId req;
-    std::uint32_t frag_index = 0;
-  };
-  struct AcceptAck {
-    ReqId req;
-    std::uint32_t frag_index = 0;
   };
   struct DiscoverQuery {
     std::uint64_t qid;
@@ -252,15 +245,15 @@ class Kernel {
   struct RebootNote {
     net::NodeId node;
   };
-  // v2 wire: one cumulative standalone ack — "every fragment you sent me
-  // with tseq <= watermark arrived".  Appended to the variant so the
-  // frame.tx indices of the v1 frames are unchanged.
+  // One cumulative standalone ack — "every fragment you sent me with
+  // tseq <= watermark arrived" (only exchanged when
+  // Costs::ack_timeout > 0).
   struct TransportAck {
     std::uint64_t watermark = 0;
   };
   using WireFrame = std::variant<ReqFrag, ReqNack, AcceptFrag, CrashNote,
-                                 DiscoverQuery, DiscoverReply, ReqAck,
-                                 AcceptAck, RebootNote, TransportAck>;
+                                 DiscoverQuery, DiscoverReply, RebootNote,
+                                 TransportAck>;
 
  private:
   void on_frame(const net::Frame& frame);
@@ -271,8 +264,6 @@ class Kernel {
   void handle(const CrashNote& f, net::NodeId from);
   void handle(const DiscoverQuery& f, net::NodeId from);
   void handle(const DiscoverReply& f, net::NodeId from);
-  void handle(const ReqAck& f, net::NodeId from);
-  void handle(const AcceptAck& f, net::NodeId from);
   void handle(const RebootNote& f, net::NodeId from);
   void handle(const TransportAck& f, net::NodeId from);
 
@@ -287,15 +278,13 @@ class Kernel {
                          const std::vector<bool>* skip = nullptr);
   void schedule_retry(ReqId req);
   [[nodiscard]] bool acks_enabled() const;
-  // v2 wire selected (cumulative_acks && acks_enabled).
-  [[nodiscard]] bool v2_acks() const;
   void arm_transport_timer(ReqId req);
   void on_transport_timeout(ReqId req);
   void arm_accept_timer(ReqId req);
   void on_accept_timeout(ReqId req);
   void drop_transport(ReqId req);  // cancels the retransmit timer
   void note_done(ReqId req);       // remember accepted reqs for re-acking
-  // ---- v2 transport helpers ----
+  // ---- transport ack helpers ----
   // Receiver: is this a transport-level duplicate from `from`?
   [[nodiscard]] bool transport_dup(net::NodeId from, std::uint64_t tseq);
   // Receiver: mark tseq received and advance the watermark through the
@@ -306,17 +295,17 @@ class Kernel {
   void advance_base(net::NodeId from, std::uint64_t base,
                     std::uint64_t trace);
   // Sender: lowest unacked live tseq bound for `dst` (next_tseq if
-  // none) — stamped on every outgoing v2 data fragment.
+  // none) — stamped on every outgoing data fragment.
   [[nodiscard]] std::uint64_t tx_frontier(net::NodeId dst);
   // Receiver: owe `to` a cumulative ack; flushed standalone after
-  // ack_coalesce_delay unless a reverse-leg fragment picks it up first.
+  // kAckCoalesceDelay unless a reverse-leg fragment picks it up first.
   void owe_transport_ack(net::NodeId to, std::uint64_t trace);
   void flush_transport_ack(net::NodeId to);
   // Receiver: a duplicate means the peer is retransmitting — its ack was
   // lost.  Re-ack the watermark immediately, never coalesced.
   void reack_now(net::NodeId to, std::uint64_t trace);
-  // Receiver: v1 acks frag-by-frag, v2 records the tseq and owes a
-  // cumulative ack.  Used for every acknowledged ReqFrag.
+  // Receiver: record the tseq and owe a cumulative ack.  Used for every
+  // acknowledged ReqFrag.
   void ack_req_frag(net::NodeId from, const ReqFrag& f);
   // Sender: a cumulative watermark from `from` arrived (standalone or
   // piggybacked); retire acked fragments and feed the RTT estimator.

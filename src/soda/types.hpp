@@ -141,34 +141,24 @@ struct Costs {
   sim::Duration form_delay = sim::Duration(0);
   std::size_t form_max_bytes = 1024;
   sim::Duration form_enclosure_processing = sim::usec(200);
-  // Transport-level per-fragment acknowledgement + retransmission, for
-  // running over an impaired medium.  0 disables both directions (the
+  // Transport-level acknowledgement + retransmission, for running over
+  // an impaired medium (DESIGN.md §12).  0 disables both directions (the
   // seed behaviour: unicast bus frames are reliable, so SODA's only
-  // retries are the NACK-driven ones above).  When enabled, unacked
-  // fragments are retransmitted every ack_timeout; after
+  // retries are the NACK-driven ones above).  When enabled, every
+  // fragment carries a per-peer transport sequence number, receivers
+  // acknowledge a cumulative watermark, and unacked fragments are
+  // retransmitted on a per-peer Jacobson/Karels RTO (ack_timeout is
+  // only the RTO before the first sample); after
   // max_transport_attempts of silence the kernel gives up and raises a
   // CrashInterrupt — SODA's *eventual* timeout, the counterpoint to
   // Charlotte's prompt absolute notice (§2, §4.1).
   sim::Duration ack_timeout = sim::Duration(0);
   int max_transport_attempts = 6;
-  // ---- ack protocol v2 (DESIGN.md §12) ----
-  // With cumulative_acks the per-fragment standalone ReqAck/AcceptAck
-  // wire is replaced by per-peer transport sequence numbers: the
-  // receiver acknowledges a cumulative fragment watermark that coalesces
-  // for ack_coalesce_delay hoping to ride a reverse-leg fragment (the
-  // request's ack on the accept, the accept's ack on the next request),
-  // falling back to one standalone TransportAck frame at the deadline.
-  // false = the v1 per-fragment-ack wire, kept for the regression
-  // battery.  Only meaningful when ack_timeout > 0.
-  bool cumulative_acks = true;
-  sim::Duration ack_coalesce_delay = sim::msec(3);
-  // Jacobson/Karels per-peer RTO (Karn's rule for samples, timeout
-  // doubling per retransmission); ack_timeout is then only the initial
-  // RTO before the first sample.  false = fixed ack_timeout re-armed
-  // verbatim, the v1 behaviour.
-  bool adaptive_rto = true;
-  sim::Duration rto_min = sim::msec(10);
-  sim::Duration rto_max = sim::msec(2000);
 };
+
+// An owed cumulative ack waits this long to ride a reverse-leg fragment
+// (the request's ack on the accept, the accept's ack on the next
+// request) before one standalone TransportAck frame goes out.
+inline constexpr sim::Duration kAckCoalesceDelay = sim::msec(3);
 
 }  // namespace soda

@@ -1,7 +1,7 @@
-// Ack protocol v2 regression pins (DESIGN.md "Charlotte ack protocol
-// v2"): the cumulative-ack watermark, the counters that travel with a
-// moved end, retransmit accounting on the re-ack race, and the
-// piggyback/coalescing machinery.
+// Charlotte ack protocol regression pins (DESIGN.md §12): the
+// cumulative-ack watermark, the counters that travel with a moved end,
+// retransmit accounting on the re-ack race, and the piggyback/coalescing
+// machinery.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -153,7 +153,6 @@ TEST(CharlotteAckProtocol, WatermarkTravelsWithMovedEnd) {
       fault::Plan{}.drop_between(sim::msec(25), sim::msec(30), 1.0, NodeId(1),
                                  NodeId(0)));
   Costs costs;
-  costs.ack_coalesce_delay = 0;
   costs.send_retransmit_timeout = sim::msec(60);
   costs.max_send_attempts = 8;
   Cluster cluster(e, 3, fm, costs);
@@ -217,12 +216,11 @@ TEST(CharlotteAckProtocol, WatermarkTravelsWithMovedEnd) {
 
 // Satellite bugfix: a re-ack racing a just-armed retransmit timer.  The
 // first copy of the message is dropped; the timeout retransmit gets
-// through and its ack races the next timer tick.  With the v1 fixed
-// timeout the tick wins: one spurious retransmit goes out and is billed
-// to `retransmits_`.  With the adaptive RTO the backed-off tick loses
-// the race and the counter records exactly the one real retransmission.
-// Both runs must deliver exactly once either way.
-std::uint64_t run_reack_race(bool adaptive, std::vector<std::string>* log) {
+// through and its ack races the next timer tick.  Under a fixed
+// re-armed timeout the tick won and a spurious retransmit was billed to
+// `retransmits_`; with backoff the doubled tick loses the race and the
+// counter records exactly the one real retransmission.
+TEST(CharlotteAckProtocol, ReackRaceDoesNotInflateRetransmitsUnderBackoff) {
   sim::Engine e;
   net::TokenRing ring(e);
   // The only Msg copy in [17, 19) ms is the original transmission
@@ -232,87 +230,67 @@ std::uint64_t run_reack_race(bool adaptive, std::vector<std::string>* log) {
       fault::Plan{}.drop_between(sim::msec(17), sim::msec(19), 1.0, NodeId(0),
                                  NodeId(1)));
   Costs costs;
-  costs.ack_coalesce_delay = 0;
   costs.send_retransmit_timeout = sim::msec(15);
-  costs.adaptive_rto = adaptive;
   Cluster cluster(e, 2, fm, costs);
 
   Pid pa = cluster.create_process(NodeId(0));
   Pid pb = cluster.create_process(NodeId(1));
   LinkPair link = cluster.bootstrap_link(pa, pb);
 
-  e.spawn("recv", recv_one(&cluster, pb, link.end2, log));
-  e.spawn("send", send_one(&cluster, pa, link.end1, "m1", log));
+  std::vector<std::string> log;
+  e.spawn("recv", recv_one(&cluster, pb, link.end2, &log));
+  e.spawn("send", send_one(&cluster, pa, link.end1, "m1", &log));
   e.run();
   EXPECT_TRUE(e.process_failures().empty());
-  return cluster.kernel(NodeId(0)).nack_retransmits();
-}
-
-TEST(CharlotteAckProtocol, ReackRaceDoesNotInflateRetransmitsUnderBackoff) {
-  std::vector<std::string> fixed_log;
-  const std::uint64_t fixed = run_reack_race(false, &fixed_log);
-  ASSERT_EQ(fixed_log.size(), 2u);
-  EXPECT_EQ(fixed_log[0], "got:m1");
-  // v1 pacing: the 30 ms tick fires before the ~51 ms ack arrival —
-  // a spurious second retransmit is in flight and billed.
-  EXPECT_EQ(fixed, 2u);
-
-  std::vector<std::string> adaptive_log;
-  const std::uint64_t adaptive = run_reack_race(true, &adaptive_log);
-  ASSERT_EQ(adaptive_log.size(), 2u);
-  EXPECT_EQ(adaptive_log[0], "got:m1");
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0], "got:m1");
   // Backoff doubles the second interval (15 -> 30 ms from the
   // retransmission): the ack wins and the stats stay honest.
-  EXPECT_EQ(adaptive, 1u);
-  EXPECT_LT(adaptive, fixed);
+  EXPECT_EQ(cluster.kernel(NodeId(0)).nack_retransmits(), 1u);
 }
 
 // Piggybacking: with kernel costs fast enough that reverse-direction
 // data leaves within the coalescing window, owed acks ride on data
-// frames and the wire carries fewer frames than with coalescing
-// disabled — for the identical workload and identical delivery log.
+// frames.  16 deliveries with a standalone ack each would take 32
+// frames; the pong side's acks (and the ping side's, except for the
+// final exchange) piggyback, so the wire carries 24.
 TEST(CharlotteAckProtocol, PiggybackedAcksSaveStandaloneFrames) {
-  auto run = [](sim::Duration coalesce, std::vector<std::string>* log) {
-    sim::Engine e;
-    Costs costs;
-    costs.call_overhead = sim::usec(200);
-    costs.frame_processing = sim::usec(200);
-    costs.ack_coalesce_delay = coalesce;
-    Cluster cluster(e, 2, net::TokenRingParams{}, costs);
-    Pid pa = cluster.create_process(NodeId(0));
-    Pid pb = cluster.create_process(NodeId(1));
-    LinkPair link = cluster.bootstrap_link(pa, pb);
+  sim::Engine e;
+  Costs costs;
+  costs.call_overhead = sim::usec(200);
+  costs.frame_processing = sim::usec(200);
+  Cluster cluster(e, 2, net::TokenRingParams{}, costs);
+  Pid pa = cluster.create_process(NodeId(0));
+  Pid pb = cluster.create_process(NodeId(1));
+  LinkPair link = cluster.bootstrap_link(pa, pb);
 
-    auto ping = [](Cluster* cl, Pid me, EndId end,
-                   std::vector<std::string>* lg) -> sim::Task<> {
-      for (int i = 0; i < 8; ++i) {
-        co_await send_one(cl, me, end, "ping", nullptr);
-        co_await recv_one(cl, me, end, lg);
-      }
-    };
-    auto pong = [](Cluster* cl, Pid me, EndId end,
-                   std::vector<std::string>* lg) -> sim::Task<> {
-      for (int i = 0; i < 8; ++i) {
-        co_await recv_one(cl, me, end, lg);
-        co_await send_one(cl, me, end, "pong", nullptr);
-      }
-    };
-    e.spawn("ping", ping(&cluster, pa, link.end1, log));
-    e.spawn("pong", pong(&cluster, pb, link.end2, log));
-    e.run();
-    EXPECT_TRUE(e.process_failures().empty());
-    return cluster.total_frames();
+  auto ping = [](Cluster* cl, Pid me, EndId end,
+                 std::vector<std::string>* lg) -> sim::Task<> {
+    for (int i = 0; i < 8; ++i) {
+      co_await send_one(cl, me, end, "ping", nullptr);
+      co_await recv_one(cl, me, end, lg);
+    }
   };
+  auto pong = [](Cluster* cl, Pid me, EndId end,
+                 std::vector<std::string>* lg) -> sim::Task<> {
+    for (int i = 0; i < 8; ++i) {
+      co_await recv_one(cl, me, end, lg);
+      co_await send_one(cl, me, end, "pong", nullptr);
+    }
+  };
+  std::vector<std::string> log;
+  e.spawn("ping", ping(&cluster, pa, link.end1, &log));
+  e.spawn("pong", pong(&cluster, pb, link.end2, &log));
+  e.run();
+  EXPECT_TRUE(e.process_failures().empty());
 
-  std::vector<std::string> log_off;
-  std::vector<std::string> log_on;
-  const std::uint64_t frames_off = run(0, &log_off);            // v1 wire
-  const std::uint64_t frames_on = run(sim::msec(2), &log_on);   // v2 wire
-  EXPECT_EQ(log_off, log_on);  // identical semantics either way
-  ASSERT_EQ(log_on.size(), 16u);
-  // 16 deliveries each way; with coalescing the pong side's acks (and
-  // the ping side's, except for the final exchange) piggyback.
-  EXPECT_LT(frames_on, frames_off);
+  std::vector<std::string> expected;
+  for (int i = 0; i < 8; ++i) {
+    expected.emplace_back("got:ping");
+    expected.emplace_back("got:pong");
+  }
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(cluster.total_frames(), 24u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Batched dual-queue drains and the cheap-flag fast path (DESIGN.md
-// "ack protocol v2", Chrysalis half): dequeue_many must be
+// Batched dual-queue drains and the cheap-flag fast path (DESIGN.md §12,
+// Chrysalis): dequeue_many must be
 // FIFO-equivalent to a one-notice-at-a-time loop, the uncontended
 // single-notice delivery must bypass the queue machinery entirely, and
 // the batched drain must collapse the per-notice dispatch count.
@@ -164,10 +164,11 @@ TEST(ChrysalisDrain, CheapFlagFastPathSkipsQueueMachinery) {
 }
 
 // The dispatch-count pin: draining 32 parked notices takes 32 kernel
-// dispatches one-at-a-time but exactly 2 dequeue_many dispatches at
-// drain_max_notices = 16 — the 16x per-wakeup op ratio the backend's
-// pump relies on (each dispatch is a primitive_call on the wire; extra
-// notices in a batch cost only dq_dequeue_extra).
+// dispatches one-at-a-time but exactly 2 dequeue_many dispatches of up
+// to 16 notices (the backend's kDrainMaxNotices) — the 16x per-wakeup
+// op ratio the backend's pump relies on (each dispatch is a
+// primitive_call on the wire; extra notices in a batch cost only
+// dq_dequeue_extra).
 TEST(ChrysalisDrain, BatchedDrainCollapsesDispatchCount) {
   constexpr int kParked = 32;
   auto run = [](bool batched, std::uint64_t* drain_ops) {

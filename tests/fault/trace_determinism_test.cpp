@@ -109,18 +109,14 @@ RunResult run_universe(std::uint64_t seed,
   return {rec.digest(), fm.fault_digest(), rec.total_emitted()};
 }
 
-// A Charlotte universe under loss and duplication, exercising the v2
-// ack machinery end to end: retransmit timers (adaptive RTO + backoff),
-// watermark dedup of duplicated frames, and — when `coalesce` is on —
-// owed-ack timers and piggybacked acks.  The coalescing timer is a new
-// event source, so determinism is pinned with piggybacking both ON
-// (default delay) and OFF (0 = the v1 wire: immediate standalone acks).
-// `formation` additionally arms RPC formation (src/form/, DESIGN.md
-// §14): the packer's deadline timers and batch dispatch are two more
-// event sources, and a dropped frame now kills a whole Batch — the
-// digests must stay a pure function of the seed regardless.
-RunResult run_charlotte_universe(std::uint64_t seed, bool coalesce,
-                                 bool formation = false) {
+// A Charlotte universe under loss and duplication, exercising the ack
+// machinery end to end: retransmit timers (adaptive RTO + backoff),
+// watermark dedup of duplicated frames, owed-ack timers and piggybacked
+// acks.  `formation` additionally arms RPC formation (src/form/,
+// DESIGN.md §14): the packer's deadline timers and batch dispatch are
+// two more event sources, and a dropped frame now kills a whole Batch —
+// the digests must stay a pure function of the seed regardless.
+RunResult run_charlotte_universe(std::uint64_t seed, bool formation = false) {
   sim::Engine e;
   trace::Recorder rec(e);
   net::TokenRing ring(e);
@@ -132,7 +128,6 @@ RunResult run_charlotte_universe(std::uint64_t seed, bool coalesce,
   charlotte::Costs costs;
   costs.send_retransmit_timeout = sim::msec(40);
   costs.max_send_attempts = 10;
-  costs.ack_coalesce_delay = coalesce ? sim::msec(3) : sim::Duration(0);
   costs.form_delay = formation ? sim::msec(2) : sim::Duration(0);
   charlotte::Cluster cluster(e, 2, fm, costs);
 
@@ -173,42 +168,6 @@ RunResult run_charlotte_universe(std::uint64_t seed, bool coalesce,
   return {rec.digest(), fm.fault_digest(), rec.total_emitted()};
 }
 
-// The same lossy SODA universe on an explicit wire variant (DESIGN.md
-// "ack protocol v2", SODA half).  `coalesce` off drops the owed-ack
-// deadline timer (acks go out standalone, immediately); `v2` off runs
-// the old per-fragment-ack wire with its done-ring dedup.  Each variant
-// has a different set of timer event sources, and all of them must
-// digest identically run over run.
-RunResult run_soda_wire_universe(std::uint64_t seed, bool v2, bool coalesce) {
-  sim::Engine e;
-  trace::Recorder rec(e);
-  net::CsmaBus bus(e, sim::Rng(7));
-  FaultyMedium fm(e, bus, seed,
-                  Plan{}.background({.drop_prob = 0.15,
-                                     .duplicate_prob = 0.1,
-                                     .corrupt_prob = 0.05,
-                                     .max_jitter = sim::usec(300)}));
-  InvariantChecker check(fm);
-  soda::Costs costs;
-  costs.ack_timeout = sim::msec(10);
-  costs.cumulative_acks = v2;
-  costs.ack_coalesce_delay = coalesce ? sim::msec(3) : sim::Duration(0);
-  soda::Network nw(e, 3, fm, costs);
-
-  soda::Pid s = nw.create_process(NodeId(0));
-  soda::Pid c = nw.create_process(NodeId(1));
-  soda::Name name;
-  sim::Gate ready(e);
-  e.spawn("server", so_server(&nw, s, &name, &ready));
-  e.spawn("client", so_client(&nw, c, s, &name, &ready, rec.new_trace()));
-  e.run();
-
-  EXPECT_TRUE(check.ok()) << "seed " << seed << ": "
-                          << check.violations().front();
-  EXPECT_TRUE(e.process_failures().empty()) << "seed " << seed;
-  return {rec.digest(), fm.fault_digest(), rec.total_emitted()};
-}
-
 sim::Task<> ch_echo_serve(lynx::ThreadCtx& ctx, lynx::LinkHandle link, int n) {
   ctx.enable_requests(link);
   for (int i = 0; i < n; ++i) {
@@ -229,23 +188,19 @@ sim::Task<> ch_echo_drive(lynx::ThreadCtx& ctx, lynx::LinkHandle link, int n) {
 
 // A Chrysalis universe: LYNX echo over the shared-memory backend.  No
 // medium, so the seed enters through the engine's seeded-permutation
-// tie-break instead — schedule exploration over the backend's new event
-// sources (batched pump drains, the cheap-flag fast path, and — with
-// `v2` — the consumed-notice coalescing timers).  `v2` off runs the
-// one-notice-per-wakeup, post-consumed-immediately backend.
-RunResult run_chrysalis_universe(std::uint64_t seed, bool v2) {
+// tie-break instead — schedule exploration over the backend's event
+// sources (batched pump drains, the cheap-flag fast path, and the
+// consumed-notice coalescing timers).
+RunResult run_chrysalis_universe(std::uint64_t seed) {
   sim::Engine e;
   e.set_tie_policy(
       {.kind = sim::TieBreak::kSeededPermutation, .seed = seed});
   trace::Recorder rec(e);
   chrysalis::Kernel kernel(e);
-  lynx::ChrysalisBackendParams params;
-  params.batched_drain = v2;
-  params.consumed_coalesce_delay = v2 ? sim::msec(2) : sim::Duration(0);
   lynx::Process server(e, "server",
-                       lynx::make_chrysalis_backend(kernel, NodeId(0), params));
+                       lynx::make_chrysalis_backend(kernel, NodeId(0)));
   lynx::Process client(e, "client",
-                       lynx::make_chrysalis_backend(kernel, NodeId(1), params));
+                       lynx::make_chrysalis_backend(kernel, NodeId(1)));
   server.start();
   client.start();
   lynx::LinkHandle server_end;
@@ -308,13 +263,9 @@ RunResult run_load_universe(std::uint64_t seed, bool formation = false) {
 struct SeedDigests {
   RunResult chaos;      // lossy SODA, FIFO tie-break
   RunResult perm;       // same universe, seeded-permutation tie-break
-  RunResult ch;         // lossy Charlotte, ack piggybacking ON
-  RunResult ch_v1;      // ... piggybacking OFF (v1 wire)
+  RunResult ch;         // lossy Charlotte
   RunResult ch_form;    // ... with RPC formation armed
-  RunResult soda_nc;    // lossy SODA v2 wire, no coalescing
-  RunResult soda_v1;    // lossy SODA v1 per-fragment-ack wire
-  RunResult chry_v2;    // Chrysalis backend, batched drains + coalescing
-  RunResult chry_v1;    // Chrysalis backend, v1 notices
+  RunResult chry;       // Chrysalis backend
   RunResult load;       // open-loop Poisson load on SODA
   RunResult load_form;  // ... with RPC formation
 };
@@ -323,14 +274,9 @@ SeedDigests run_seed(std::uint64_t seed) {
   SeedDigests d;
   d.chaos = run_universe(seed);
   d.perm = run_universe(seed, sim::TieBreak::kSeededPermutation);
-  d.ch = run_charlotte_universe(seed, /*coalesce=*/true);
-  d.ch_v1 = run_charlotte_universe(seed, /*coalesce=*/false);
-  d.ch_form =
-      run_charlotte_universe(seed, /*coalesce=*/true, /*formation=*/true);
-  d.soda_nc = run_soda_wire_universe(seed, /*v2=*/true, /*coalesce=*/false);
-  d.soda_v1 = run_soda_wire_universe(seed, /*v2=*/false, /*coalesce=*/false);
-  d.chry_v2 = run_chrysalis_universe(seed, /*v2=*/true);
-  d.chry_v1 = run_chrysalis_universe(seed, /*v2=*/false);
+  d.ch = run_charlotte_universe(seed);
+  d.ch_form = run_charlotte_universe(seed, /*formation=*/true);
+  d.chry = run_chrysalis_universe(seed);
   d.load = run_load_universe(seed);
   d.load_form = run_load_universe(seed, /*formation=*/true);
   return d;
@@ -377,13 +323,12 @@ TEST(TraceDeterminism, SweepSeedsReproduceDigestsUnderAnyParallelism) {
     // shrinker and repro tokens depend on exactly this property.
     expect_same(a.perm, b.perm, "perm", seed);
 
-    // The Charlotte lossy universe, piggybacking ON and OFF: the owed-ack
-    // coalescing timer and the adaptive retransmit machinery must not
-    // introduce schedule-dependent state.
+    // The Charlotte lossy universe: the owed-ack coalescing timer and the
+    // adaptive retransmit machinery must not introduce schedule-dependent
+    // state.
     expect_same(a.ch, b.ch, "charlotte", seed);
     ASSERT_GT(a.ch.emitted, 0u) << "charlotte seed " << seed;
     distinct_charlotte.insert(a.ch.trace_digest);
-    expect_same(a.ch_v1, b.ch_v1, "charlotte v1-wire", seed);
 
     // Lossy Charlotte with RPC formation armed (DESIGN.md §14): batch
     // deadline timers, shared-frame dispatch, and whole-batch drops all
@@ -395,19 +340,10 @@ TEST(TraceDeterminism, SweepSeedsReproduceDigestsUnderAnyParallelism) {
     EXPECT_NE(a.ch_form.trace_digest, a.ch.trace_digest)
         << "formation left no mark on the stream, seed " << seed;
 
-    // The lossy SODA universe on each wire variant: v2 with the
-    // coalescing timer, v2 with immediate standalone acks, and the v1
-    // per-fragment-ack wire.  (run_universe above already covers the
-    // v2 default; these pin the knob-dependent event sources.)
-    expect_same(a.soda_nc, b.soda_nc, "soda no-coalesce", seed);
-    expect_same(a.soda_v1, b.soda_v1, "soda v1-wire", seed);
-
-    // The Chrysalis backend universes, v2 (batched drains + consumed
-    // coalescing) and v1 (one notice per wakeup, immediate consumed
-    // notices), under seeded-permutation schedule exploration.
-    expect_same(a.chry_v2, b.chry_v2, "chrysalis v2", seed);
-    ASSERT_GT(a.chry_v2.emitted, 0u) << "chrysalis v2 seed " << seed;
-    expect_same(a.chry_v1, b.chry_v1, "chrysalis v1", seed);
+    // The Chrysalis backend universe (batched drains + consumed-notice
+    // coalescing) under seeded-permutation schedule exploration.
+    expect_same(a.chry, b.chry, "chrysalis", seed);
+    ASSERT_GT(a.chry.emitted, 0u) << "chrysalis seed " << seed;
 
     expect_same(a.load, b.load, "load", seed);
     ASSERT_GT(a.load.emitted, 0u) << "load seed " << seed;

@@ -75,7 +75,6 @@ TEST(FormBatchLoss, CharlotteDroppedBatchIsFullyRedelivered) {
       e, ring, 21,
       fault::Plan{}.drop_between(0, kDark, 1.0, NodeId(0), NodeId(1)));
   charlotte::Costs costs;
-  costs.ack_coalesce_delay = 0;
   costs.form_delay = sim::msec(2);
   costs.send_retransmit_timeout = sim::msec(40);
   costs.max_send_attempts = 10;

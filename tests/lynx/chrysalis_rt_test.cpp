@@ -227,6 +227,46 @@ TEST(LynxChrysalis, DestroyRaisesExceptionAtPeer) {
   EXPECT_EQ(log[0], "caught:link-destroyed");
 }
 
+// ---- oversized messages ----------------------------------------------------
+
+sim::Task<> oversized_then_normal_thread(ThreadCtx& ctx, LinkHandle link,
+                                         std::vector<std::string>* log) {
+  try {
+    Message big = make_message("echo", {Bytes(3000, 0xab)});
+    (void)co_await ctx.call(link, std::move(big));
+    log->push_back("unexpected-success");
+  } catch (const LynxError& e) {
+    log->push_back(std::string("caught:") + to_string(e.kind()));
+  }
+  Message req = make_message("echo", {std::int64_t(7)});
+  Message rep = co_await ctx.call(link, std::move(req));
+  CO_CHECK_EQ(std::get<std::int64_t>(rep.args[0]), 7);
+  log->push_back("echoed");
+}
+
+// A body larger than the link's 2048-byte buffer is refused in the
+// sending thread before any slot is written or notice posted, so the
+// server never sees it and the same link completes the next call.
+TEST(LynxChrysalis, OversizedMessageRaisesAndLeavesLinkUsable) {
+  World w;
+  w.boot();
+  std::vector<std::string> log;
+  w.server.spawn_thread("serve", [&](ThreadCtx& ctx) {
+    return echo_server_thread(ctx, w.server_end, 1);
+  });
+  w.client.spawn_thread("drive", [&](ThreadCtx& ctx) {
+    return oversized_then_normal_thread(ctx, w.client_end, &log);
+  });
+  w.engine.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"caught:message-too-large",
+                                           "echoed"}));
+  EXPECT_TRUE(w.engine.process_failures().empty());
+  EXPECT_TRUE(w.server.thread_failures().empty()) << join(
+      w.server.thread_failures());
+  EXPECT_TRUE(w.client.thread_failures().empty()) << join(
+      w.client.thread_failures());
+}
+
 // ---- termination destroys links ---------------------------------------------
 
 TEST(LynxChrysalis, ProcessEndDestroysLinks) {

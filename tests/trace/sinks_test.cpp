@@ -36,7 +36,6 @@ void record_known_stream(sim::Engine& e, Recorder& rec) {
     co_await c->e->sleep(sim::msec(1));
     c->rec->end_span(1, s);
     c->rec->instant(1, "wire", "frame.tx", t, 7, 100);
-    c->rec->text(0, "engine", "note");
   };
   e.spawn("script", script(&ctx));
   e.run();
