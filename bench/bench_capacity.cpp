@@ -9,17 +9,15 @@
 // each kernel's knee.  A payload sweep under overload then reruns E5's
 // SODA-vs-Charlotte break-even in throughput terms.
 //
-// Flags (bench::init): --json-out, --trace-out, --seed, plus --smoke
-// for the CI-sized version (short windows, 3 rates) and
-// --baseline=PATH / --baseline-soda=PATH / --baseline-chrysalis=PATH
-// to compare each kernel's measured peak against a checked-in baseline
-// (bench/baselines/): exits nonzero on a >10% regression, so CI
-// catches an ack-protocol slowdown — on any substrate — at the PR.
+// Flags (bench::init): --json-out, --trace-out, --seed, --smoke for the
+// CI-sized version (short windows, 3 rates), and one --baseline=PATH per
+// gated kernel (bench/baselines/*_capacity.json, routed by the file's
+// "backend" field): exits 1 when a kernel's measured peak falls more than
+// 10% below its baseline, so CI catches an ack-protocol slowdown — on any
+// substrate — in the change that causes it.  --formation=on|off is this
+// bench's own flag.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "charlotte/types.hpp"
 #include "harness.hpp"
@@ -132,11 +130,10 @@ void curves_report(bool smoke, sweep::ThreadPool& pool) {
 
 // ---- saturation search -----------------------------------------------------
 
-// The protocol knobs each substrate ran with, recorded alongside every
-// peak so a baseline JSON is self-describing: a reviewer diffing a
-// refreshed baseline sees *which* knob moved with the number.  Values
-// mirror what load::Fleet configures — default kernel cost structs plus
-// the scenario's formation window.
+// The transport settings each substrate ran with, recorded alongside
+// every peak so the JSON lines say what was measured.  Values mirror
+// what load::Fleet configures — default kernel cost structs plus the
+// scenario's formation window.
 void emit_capacity_knobs(load::Substrate sub, const load::Scenario& sc) {
   auto j = json();
   j.field("kind", "capacity_knobs").field("backend", to_string(sub));
@@ -293,94 +290,6 @@ void formation_report(bool smoke, sweep::ThreadPool& pool) {
   print_note("ratio column is the off/on frame saving from batching.");
 }
 
-// ---- baseline gate ---------------------------------------------------------
-
-// Reads one numeric field out of a flat JSON object, the same
-// hand-rolled idiom as the explorer's repro-token parsing: find the
-// quoted key, skip the colon, strtod the value.  Returns NaN if absent.
-double json_number_field(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return std::nan("");
-  std::size_t p = text.find(':', at + needle.size());
-  if (p == std::string::npos) return std::nan("");
-  return std::strtod(text.c_str() + p + 1, nullptr);
-}
-
-// Reads one string field out of the same flat JSON object.  Returns ""
-// if the key is absent or not a quoted string.
-std::string json_string_field(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return "";
-  std::size_t p = text.find(':', at + needle.size());
-  if (p == std::string::npos) return "";
-  p = text.find('"', p + 1);
-  if (p == std::string::npos) return "";
-  const std::size_t end = text.find('"', p + 1);
-  if (end == std::string::npos) return "";
-  return text.substr(p + 1, end - p - 1);
-}
-
-// Compares one substrate's measured peak against its checked-in
-// baseline.  Returns false (CI failure) on a >10% throughput
-// regression.  Better peaks pass with a note: refreshing the baseline
-// file is a deliberate, reviewed act, not something a lucky run does
-// implicitly.  Pass or fail, the verdict line names the backend, the
-// scenario, the metric, and the signed delta, so a red CI log says
-// *what* regressed without opening JSON.  The file's own "backend"
-// field must name the substrate being gated — handing the SODA
-// baseline to the Charlotte gate is a config bug, not a pass.
-bool baseline_gate(const std::string& path, const char* backend,
-                   double measured) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "baseline gate (%s): cannot read %s\n", backend,
-                 path.c_str());
-    return false;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  const std::string file_backend = json_string_field(text, "backend");
-  if (file_backend != backend) {
-    std::fprintf(stderr,
-                 "baseline gate (%s): %s is a baseline for backend \"%s\"\n",
-                 backend, path.c_str(), file_backend.c_str());
-    return false;
-  }
-  const double expected = json_number_field(text, "peak_throughput");
-  if (!(expected > 0)) {
-    std::fprintf(stderr, "baseline gate (%s): no peak_throughput metric in %s\n",
-                 backend, path.c_str());
-    return false;
-  }
-  std::string scenario = json_string_field(text, "scenario");
-  if (scenario.empty()) scenario = "(unnamed)";
-  constexpr double kTolerance = 0.10;
-  const double floor = expected * (1.0 - kTolerance);
-  const double delta_pct = (measured - expected) / expected * 100.0;
-  const bool ok = measured >= floor;
-  std::printf(
-      "baseline gate %s: scenario %s, metric peak_throughput (%s): "
-      "measured %.2f/s vs baseline %.2f/s, delta %+.1f%% "
-      "(tolerance -%.0f%%, floor %.2f/s)\n",
-      ok ? "ok" : "REGRESSION", scenario.c_str(), backend, measured, expected,
-      delta_pct, kTolerance * 100.0, floor);
-  json()
-      .field("kind", "baseline_check")
-      .field("backend", backend)
-      .field("scenario", scenario)
-      .field("metric", "peak_throughput")
-      .field("measured_peak_throughput", measured)
-      .field("baseline_peak_throughput", expected)
-      .field("delta_pct", delta_pct)
-      .field("tolerance", kTolerance)
-      .field("ok", ok ? 1.0 : 0.0)
-      .emit();
-  return ok;
-}
-
 // ---- payload break-even under load (E5 revisited) --------------------------
 
 void payload_report(bool smoke, sweep::ThreadPool& pool) {
@@ -448,56 +357,22 @@ void traced_run(bool smoke) {
   }
 }
 
-void BM_ChrysalisLoadProbe(benchmark::State& state) {
-  double tput = 0;
-  for (auto _ : state) {
-    load::Scenario sc = base_scenario(/*smoke=*/true);
-    sc.offered_rate = 100.0;
-    tput = load::run_scenario(load::Substrate::kChrysalis, sc).throughput;
-  }
-  state.counters["delivered_per_s"] = tput;
-}
-BENCHMARK(BM_ChrysalisLoadProbe)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  // One optional baseline path per substrate: --baseline= stays the
-  // Charlotte spelling CI has used all along; the SODA and Chrysalis
-  // wires got their own gates when the ack-v2 playbook was ported to
-  // them.  Indexed by load::Substrate.
-  std::string baselines[3];
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-      continue;
-    }
-    if (arg.rfind("--baseline=", 0) == 0) {
-      baselines[static_cast<int>(load::Substrate::kCharlotte)] =
-          arg.substr(std::string("--baseline=").size());
-      continue;
-    }
-    if (arg.rfind("--baseline-soda=", 0) == 0) {
-      baselines[static_cast<int>(load::Substrate::kSoda)] =
-          arg.substr(std::string("--baseline-soda=").size());
-      continue;
-    }
-    if (arg.rfind("--baseline-chrysalis=", 0) == 0) {
-      baselines[static_cast<int>(load::Substrate::kChrysalis)] =
-          arg.substr(std::string("--baseline-chrysalis=").size());
-      continue;
-    }
-    if (arg == "--formation=on" || arg == "--formation=off") {
-      g_formation = arg == "--formation=on";
-      continue;
-    }
-    argv[kept++] = argv[i];
-  }
-  argc = kept;
-  bench::init(&argc, argv, "capacity");
+  bench::init(argc, argv, "capacity", [](const std::string& arg) {
+    if (arg != "--formation=on" && arg != "--formation=off") return false;
+    g_formation = arg == "--formation=on";
+    return true;
+  });
+  const bool smoke = bench::smoke();
+  // Each --baseline file names its substrate in "backend"; route first so
+  // a misrouted file fails before the sweep, not after it.
+  const auto subs = load::all_substrates();
+  std::vector<std::string> backends;
+  for (load::Substrate sub : subs) backends.emplace_back(to_string(sub));
+  const auto baselines = route_baselines(baseline_paths(), backends);
+  if (!baselines) return 1;
 
   sweep::ThreadPool pool;
   curves_report(smoke, pool);
@@ -506,26 +381,24 @@ int main(int argc, char** argv) {
   formation_report(smoke, pool);
   traced_run(smoke);
 
-  bool gate_ok = true;
-  const bool any_baseline = !baselines[0].empty() || !baselines[1].empty() ||
-                            !baselines[2].empty();
-  if (any_baseline && g_formation) {
+  if (!baseline_paths().empty() && g_formation) {
     // The checked-in baselines measure the frame-per-message wire; a
     // formation-on peak is a different quantity and must not be gated
     // (or silently refreshed) against it.
     print_note("baseline gate skipped: --formation=on changes the measured");
     print_note("quantity; the gate only runs on formation-off invocations.");
-    for (auto& b : baselines) b.clear();
+    return 0;
   }
-  for (load::Substrate sub : load::all_substrates()) {
-    const std::string& path = baselines[static_cast<int>(sub)];
-    if (path.empty()) continue;
+  bool gate_ok = true;
+  for (std::size_t i = 0; i < subs.size(); ++i) {
+    const std::string& text = (*baselines)[i];
+    if (text.empty()) continue;
     // Every configured gate runs and reports — a SODA regression is
     // named even when Charlotte also regressed.
-    gate_ok = baseline_gate(path, to_string(sub), peaks.of(sub)) && gate_ok;
+    gate_ok = gate(backends[i], "peak_throughput", peaks.of(subs[i]),
+                   json_number_field(text, "peak_throughput"), Better::kHigher,
+                   0.10) &&
+              gate_ok;
   }
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return gate_ok ? 0 : 1;
 }

@@ -10,16 +10,12 @@
 // fail-over costs: the gap between the primary's crash and the first
 // commit of the successor's view.
 //
-// Flags (bench::init): --json-out, --trace-out, --seed, plus --smoke
-// for the CI-sized version and --baseline=PATH to gate the Charlotte
-// smoke commit p50 against bench/baselines/replica.json: exits nonzero
-// when the measured latency climbs more than 10% above the baseline,
-// so CI catches an ack-protocol or replication-path slowdown at the PR.
-#include <cmath>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-
+// Flags (bench::init): --json-out, --trace-out, --seed, --smoke for the
+// CI-sized version, and --baseline=PATH to gate the Charlotte smoke
+// commit p50 against bench/baselines/replica.json: exits 1 when the
+// measured latency climbs more than 10% above the baseline, so CI
+// catches an ack-protocol or replication-path slowdown in the change
+// that causes it.
 #include "harness.hpp"
 #include "replica/replica.hpp"
 
@@ -126,51 +122,6 @@ void failover_report(bool smoke) {
   print_note("instant; dominated by crash detection plus one view rewire.");
 }
 
-// ---- baseline gate ---------------------------------------------------------
-
-double json_number_field(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return std::nan("");
-  std::size_t p = text.find(':', at + needle.size());
-  if (p == std::string::npos) return std::nan("");
-  return std::strtod(text.c_str() + p + 1, nullptr);
-}
-
-// Latency gate: fails when the measured Charlotte smoke commit p50
-// climbs more than 10% ABOVE the checked-in baseline (lower is always
-// fine; refreshing the baseline is a deliberate, reviewed act).
-bool baseline_gate(const std::string& path, double measured_ms) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "baseline gate: cannot read %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const double expected = json_number_field(buf.str(), "commit_p50_ms");
-  if (!(expected > 0)) {
-    std::fprintf(stderr, "baseline gate: no commit_p50_ms in %s\n",
-                 path.c_str());
-    return false;
-  }
-  constexpr double kTolerance = 0.10;
-  const double ceiling = expected * (1.0 + kTolerance);
-  const bool ok = measured_ms <= ceiling;
-  std::printf("baseline gate: charlotte commit p50 %.2f ms vs baseline "
-              "%.2f ms (ceiling %.2f ms): %s\n",
-              measured_ms, expected, ceiling, ok ? "ok" : "REGRESSION");
-  json()
-      .field("kind", "baseline_check")
-      .field("backend", "charlotte")
-      .field("measured_commit_p50_ms", measured_ms)
-      .field("baseline_commit_p50_ms", expected)
-      .field("tolerance", kTolerance)
-      .field("ok", ok ? 1.0 : 0.0)
-      .emit();
-  return ok;
-}
-
 // ---- traced run ------------------------------------------------------------
 
 void traced_run(bool smoke) {
@@ -186,48 +137,21 @@ void traced_run(bool smoke) {
   }
 }
 
-void BM_ChrysalisReplicatedCommit(benchmark::State& state) {
-  double p50 = 0;
-  for (auto _ : state) {
-    sim::Engine engine;
-    replica::Group g(engine, load::Substrate::kChrysalis,
-                     base_options(/*smoke=*/true));
-    engine.run();
-    p50 = g.metrics().write_latency.quantile(0.50);
-  }
-  state.counters["commit_p50_us"] = p50;
-}
-BENCHMARK(BM_ChrysalisReplicatedCommit)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string baseline;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-      continue;
-    }
-    if (arg.rfind("--baseline=", 0) == 0) {
-      baseline = arg.substr(std::string("--baseline=").size());
-      continue;
-    }
-    argv[kept++] = argv[i];
-  }
-  argc = kept;
-  bench::init(&argc, argv, "replica");
+  bench::init(argc, argv, "replica");
+  const auto baselines = route_baselines(baseline_paths(), {"charlotte"});
+  if (!baselines) return 1;
 
-  const double charlotte_p50 = commit_report(smoke);
-  failover_report(smoke);
-  traced_run(smoke);
+  const double charlotte_p50 = commit_report(smoke());
+  failover_report(smoke());
+  traced_run(smoke());
 
-  bool gate_ok = true;
-  if (!baseline.empty()) gate_ok = baseline_gate(baseline, charlotte_p50);
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return gate_ok ? 0 : 1;
+  const std::string& text = (*baselines)[0];
+  if (text.empty()) return 0;
+  const bool ok = gate("charlotte", "commit_p50_ms", charlotte_p50,
+                       json_number_field(text, "commit_p50_ms"),
+                       Better::kLower, 0.10);
+  return ok ? 0 : 1;
 }

@@ -25,17 +25,13 @@
 //                  the acceptance workload: events/wall-second here is
 //                  what bounds bench_capacity and the explorer sweeps.
 //
-// Flags (bench::init): --json-out, --seed, plus --smoke for the
-// CI-sized version and --baseline=PATH to gate each metric against an
-// events-per-second floor (bench/baselines/sim.json): exits nonzero
-// when any measured metric drops below its floor, so CI catches an
-// engine slowdown at the PR that introduces it.
+// Flags (bench::init): --json-out, --seed, --smoke for the CI-sized
+// version, and --baseline=PATH to gate each metric against its
+// "<metric>_floor" in events per second (bench/baselines/sim.json):
+// exits 1 when any measured metric drops below its floor or has none,
+// so CI catches an engine slowdown in the change that introduces it.
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "harness.hpp"
@@ -57,6 +53,9 @@ struct Metric {
   std::string name;
   std::uint64_t events = 0;
   double wall_s = 0.0;
+  // A workload's checksum of its event payloads; asserted equal across
+  // reps, which keeps the payload work observable to the optimiser.
+  std::uint64_t sink = 0;
   [[nodiscard]] double events_per_sec() const {
     return wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0;
   }
@@ -172,8 +171,7 @@ Metric run_fanin_storm(std::uint64_t seed, int sources, int rounds) {
     e.schedule(sim::usec(i & 1023), [s]() mutable { s.fire(); });
   }
   e.run();
-  benchmark::DoNotOptimize(sink);
-  return {"fanin", e.events_fired(), wall_seconds_since(t0)};
+  return {"fanin", e.events_fired(), wall_seconds_since(t0), sink};
 }
 
 // ---- fan-in: the E12 capacity workload, timed on the wall ------------------
@@ -227,7 +225,7 @@ Metric run_fanin(load::Substrate sub, bool smoke) {
   return m;
 }
 
-// ---- reporting and the baseline gate ---------------------------------------
+// ---- reporting ------------------------------------------------------------
 
 void report(const Metric& m) {
   std::printf("%-16s %14llu events %10.3f s %16.0f events/s\n",
@@ -242,85 +240,11 @@ void report(const Metric& m) {
       .emit();
 }
 
-// Flat-JSON field read, the same idiom as bench_capacity's gate.
-double json_number_field(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return std::nan("");
-  const std::size_t p = text.find(':', at + needle.size());
-  if (p == std::string::npos) return std::nan("");
-  return std::strtod(text.c_str() + p + 1, nullptr);
-}
-
-// Each metric is gated against "<name>_floor" in the baseline file
-// (events per wall-second).  Floors are deliberately set well under a
-// healthy run — CI machines are noisy — so a trip means a structural
-// slowdown, not scheduler jitter.  Metrics without a floor pass with a
-// note, so adding a workload does not require touching the baseline.
-bool baseline_gate(const std::string& path, const std::vector<Metric>& ms) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "baseline gate (sim): cannot read %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  bool ok = true;
-  for (const Metric& m : ms) {
-    const double floor = json_number_field(text, m.name + "_floor");
-    if (std::isnan(floor)) {
-      std::printf("baseline gate: %s has no floor in %s (ungated)\n",
-                  m.name.c_str(), path.c_str());
-      continue;
-    }
-    const bool pass = m.events_per_sec() >= floor;
-    std::printf(
-        "baseline gate %s: metric %s: measured %.0f events/s vs floor %.0f "
-        "(%+.1f%%)\n",
-        pass ? "ok" : "REGRESSION", m.name.c_str(), m.events_per_sec(), floor,
-        (m.events_per_sec() - floor) / floor * 100.0);
-    json()
-        .field("kind", "baseline_check")
-        .field("metric", m.name)
-        .field("measured_events_per_sec", m.events_per_sec())
-        .field("floor_events_per_sec", floor)
-        .field("ok", pass ? 1.0 : 0.0)
-        .emit();
-    ok = ok && pass;
-  }
-  return ok;
-}
-
-void BM_EngineStorm(benchmark::State& state) {
-  double eps = 0;
-  for (auto _ : state) {
-    eps = run_storm(bench::seed(), 64, 2000).events_per_sec();
-  }
-  state.counters["events_per_sec"] = eps;
-}
-BENCHMARK(BM_EngineStorm)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string baseline;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-      continue;
-    }
-    if (arg.rfind("--baseline=", 0) == 0) {
-      baseline = arg.substr(std::string("--baseline=").size());
-      continue;
-    }
-    argv[kept++] = argv[i];
-  }
-  argc = kept;
-  bench::init(&argc, argv, "sim");
+  bench::init(argc, argv, "sim");
+  const bool smoke = bench::smoke();
 
   table_header("E17: simulator speed (simulated events per wall-second)");
   std::printf("%-16s %21s %12s %25s\n", "workload", "fired", "wall", "rate");
@@ -336,7 +260,7 @@ int main(int argc, char** argv) {
     Metric best = fn();
     for (int r = 1; r < reps; ++r) {
       Metric m = fn();
-      RELYNX_ASSERT_MSG(m.events == best.events,
+      RELYNX_ASSERT_MSG(m.events == best.events && m.sink == best.sink,
                         "sim workloads must be deterministic");
       if (m.events_per_sec() > best.events_per_sec()) best = m;
     }
@@ -355,10 +279,19 @@ int main(int argc, char** argv) {
   }
   for (const Metric& m : metrics) report(m);
 
+  // Each metric is gated against "<name>_floor" (events per
+  // wall-second) in every --baseline file.  Floors sit well under a
+  // healthy run — CI machines are noisy — so a trip means a structural
+  // slowdown, not scheduler jitter.
   bool gate_ok = true;
-  if (!baseline.empty()) gate_ok = baseline_gate(baseline, metrics);
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  for (const std::string& path : baseline_paths()) {
+    const std::string text = read_file(path).value_or("");
+    for (const Metric& m : metrics) {
+      gate_ok = gate(m.name, "events_per_sec", m.events_per_sec(),
+                     json_number_field(text, m.name + "_floor"),
+                     Better::kHigher, 0.0) &&
+                gate_ok;
+    }
+  }
   return gate_ok ? 0 : 1;
 }

@@ -2,17 +2,21 @@
 //
 // Every bench binary regenerates one of the paper's tables or figures
 // (see DESIGN.md §4).  Each prints a paper-vs-measured table on stdout
-// and registers google-benchmark timings of the simulations themselves
-// (so the harness also tracks the *simulator's* wall-clock cost).
+// plus one JSON-lines record per row; benches that guard a perf claim
+// compare a measured number against a checked-in baseline through the
+// one gate() below.  Every run is a pure function of --seed, except
+// bench_sim, whose metrics are wall-clock rates.
 #pragma once
 
-#include <benchmark/benchmark.h>
-
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,9 +33,8 @@ namespace bench {
 // ---- unified entry ---------------------------------------------------------
 //
 // Every bench main starts with
-//     bench::init(&argc, argv, "<bench-name>");
-// which strips the harness's own flags before google-benchmark sees the
-// rest:
+//     bench::init(argc, argv, "<bench-name>");
+// which owns the whole command line:
 //     --json-out=FILE    append every JSON-lines record to FILE as well
 //                        as stdout
 //     --trace-out=FILE   benches that support causal tracing write a
@@ -41,6 +44,12 @@ namespace bench {
 //                        the bench (default 2026), so a specific run —
 //                        one JSON record, one capacity curve — can be
 //                        reproduced without recompiling
+//     --smoke            the CI-sized version of benches that have one
+//     --baseline=PATH    a flat JSON baseline for the bench's gates
+//                        (repeatable; see gate() below)
+// A bench's own flags go through `local`, which returns true for each
+// argument it consumes.  Anything else prints "unknown flag X" and
+// exits 2, so a misspelt gate flag cannot silently disable the gate.
 
 inline std::FILE*& json_file() {
   static std::FILE* f = nullptr;
@@ -58,15 +67,25 @@ inline std::uint64_t& seed() {
   static std::uint64_t s = 2026;
   return s;
 }
+inline bool& smoke() {
+  static bool on = false;
+  return on;
+}
+inline std::vector<std::string>& baseline_paths() {
+  static std::vector<std::string> paths;
+  return paths;
+}
 
-inline void init(int* argc, char** argv, const char* name) {
+inline void init(int argc, char** argv, const char* name,
+                 const std::function<bool(const std::string&)>& local = {}) {
   bench_name() = name;
-  int kept = 1;
-  for (int i = 1; i < *argc; ++i) {
+  baseline_paths().clear();
+  for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const std::string json_flag = "--json-out=";
     const std::string trace_flag = "--trace-out=";
     const std::string seed_flag = "--seed=";
+    const std::string baseline_flag = "--baseline=";
     if (arg.rfind(json_flag, 0) == 0) {
       const std::string path = arg.substr(json_flag.size());
       json_file() = std::fopen(path.c_str(), "w");
@@ -77,11 +96,15 @@ inline void init(int* argc, char** argv, const char* name) {
       trace_out_path() = arg.substr(trace_flag.size());
     } else if (arg.rfind(seed_flag, 0) == 0) {
       seed() = std::strtoull(arg.substr(seed_flag.size()).c_str(), nullptr, 10);
-    } else {
-      argv[kept++] = argv[i];
+    } else if (arg == "--smoke") {
+      smoke() = true;
+    } else if (arg.rfind(baseline_flag, 0) == 0) {
+      baseline_paths().push_back(arg.substr(baseline_flag.size()));
+    } else if (!local || !local(arg)) {
+      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
+      std::exit(2);
     }
   }
-  *argc = kept;
   std::atexit([] {
     if (json_file() != nullptr) {
       std::fclose(json_file());
@@ -284,8 +307,8 @@ class JsonLine {
     return field(key, std::string(value));
   }
   JsonLine& field(const std::string& key, double value) {
-    char num[64];
-    std::snprintf(num, sizeof num, "%.6g", value);
+    char num[64] = "null";  // JSON has no NaN or infinity
+    if (std::isfinite(value)) std::snprintf(num, sizeof num, "%.6g", value);
     sep();
     buf_ += '"' + key + "\":" + num;
     return *this;
@@ -399,6 +422,124 @@ inline void print_rows(const std::vector<Row>& rows) {
         .field("unit", r.unit)
         .emit();
   }
+}
+
+// ---- baseline gates --------------------------------------------------------
+
+// Reads a whole baseline file; nullopt, with a note on stderr, when it
+// cannot be read.
+inline std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "baseline: cannot read %s\n", path.c_str());
+    return std::nullopt;
+  }
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// Flat-JSON field reads: find the quoted key, skip the colon, parse the
+// value.  NaN / "" when the key is absent or holds the other type.
+inline std::size_t json_value_at(const std::string& text,
+                                 const std::string& key) {
+  const std::size_t at = text.find('"' + key + '"');
+  if (at == std::string::npos) return std::string::npos;
+  const std::size_t colon = text.find(':', at + key.size() + 2);
+  if (colon == std::string::npos) return std::string::npos;
+  return text.find_first_not_of(" \t\r\n", colon + 1);
+}
+
+inline double json_number_field(const std::string& text,
+                                const std::string& key) {
+  const std::size_t p = json_value_at(text, key);
+  if (p == std::string::npos) return std::nan("");
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str() + p, &end);
+  return end == text.c_str() + p ? std::nan("") : v;
+}
+
+inline std::string json_string_field(const std::string& text,
+                                     const std::string& key) {
+  const std::size_t p = json_value_at(text, key);
+  if (p == std::string::npos || text[p] != '"') return "";
+  const std::size_t end = text.find('"', p + 1);
+  if (end == std::string::npos) return "";
+  return text.substr(p + 1, end - p - 1);
+}
+
+// Routes each --baseline file to the backend its "backend" field names.
+// Returns one file text per entry of `backends` ("" where no file names
+// it), or nullopt, after saying why on stderr, when a file cannot be
+// read, names a backend outside `backends`, or repeats one.
+inline std::optional<std::vector<std::string>> route_baselines(
+    const std::vector<std::string>& paths,
+    const std::vector<std::string>& backends) {
+  std::vector<std::string> texts(backends.size());
+  for (const std::string& path : paths) {
+    const std::optional<std::string> text = read_file(path);
+    if (!text) return std::nullopt;
+    const std::string backend = json_string_field(*text, "backend");
+    std::size_t i = 0;
+    while (i < backends.size() && backends[i] != backend) ++i;
+    if (i == backends.size()) {
+      std::fprintf(stderr,
+                   "baseline: %s is for backend \"%s\", not gated here\n",
+                   path.c_str(), backend.c_str());
+      return std::nullopt;
+    }
+    if (!texts[i].empty()) {
+      std::fprintf(stderr, "baseline: %s is a second baseline for %s\n",
+                   path.c_str(), backend.c_str());
+      return std::nullopt;
+    }
+    texts[i] = *text;
+  }
+  return texts;
+}
+
+enum class Better { kHigher, kLower };
+
+// The one baseline gate.  A kHigher metric must reach
+// baseline * (1 - tolerance); a kLower one must stay within
+// baseline * (1 + tolerance).  A NaN baseline (missing file or key)
+// fails.  Better numbers pass without moving the baseline: refreshing a
+// baseline file is a deliberate, reviewed act, not something a lucky
+// run does.  Pass or fail, the gate prints one verdict line and emits
+// one baseline_check record, so a red CI log says what regressed
+// without opening JSON.
+inline bool gate(const std::string& label, const std::string& metric,
+                 double measured, double baseline, Better better,
+                 double tolerance) {
+  const bool higher = better == Better::kHigher;
+  const double bound =
+      baseline * (higher ? 1.0 - tolerance : 1.0 + tolerance);
+  const bool ok = higher ? measured >= bound : measured <= bound;
+  const double delta_pct = (measured - baseline) / baseline * 100.0;
+  if (std::isnan(baseline)) {
+    std::printf("baseline gate REGRESSION: %s %s: measured %.2f, no baseline\n",
+                label.c_str(), metric.c_str(), measured);
+  } else {
+    std::printf(
+        "baseline gate %s: %s %s: measured %.2f vs baseline %.2f, "
+        "%s %.2f (tolerance %.0f%%), delta %+.1f%%\n",
+        ok ? "ok" : "REGRESSION", label.c_str(), metric.c_str(), measured,
+        baseline, higher ? "floor" : "ceiling", bound, tolerance * 100.0,
+        delta_pct);
+  }
+  json()
+      .field("kind", "baseline_check")
+      .field("label", label)
+      .field("metric", metric)
+      .field("measured", measured)
+      .field("baseline", baseline)
+      .field("bound", bound)
+      .field("better", higher ? "higher" : "lower")
+      .field("tolerance", tolerance)
+      .field("delta_pct", delta_pct)
+      .field("ok", ok ? 1.0 : 0.0)
+      .emit();
+  return ok;
 }
 
 }  // namespace bench
