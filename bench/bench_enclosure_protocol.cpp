@@ -50,9 +50,8 @@ struct MoveResult {
   std::uint64_t packets = 0;
 };
 
-template <typename World>
-MoveResult run_move(int enclosures) {
-  World w;
+MoveResult run_move(Substrate s, int enclosures) {
+  Pair w(s);
   sim::Time t0 = 0, t1 = 0;
   w.server.spawn_thread("taker", [&](ThreadCtx& ctx) {
     return taker(ctx, w.server_end, enclosures);
@@ -64,25 +63,13 @@ MoveResult run_move(int enclosures) {
   RELYNX_ASSERT(w.engine.process_failures().empty());
   MoveResult r;
   r.ms = sim::to_msec(t1 - t0);
-  return r;
-}
-
-MoveResult run_move_charlotte(int enclosures) {
-  CharlotteWorld w;
-  sim::Time t0 = 0, t1 = 0;
-  w.server.spawn_thread("taker", [&](ThreadCtx& ctx) {
-    return taker(ctx, w.server_end, enclosures);
-  });
-  w.client.spawn_thread("mover", [&](ThreadCtx& ctx) {
-    return mover(ctx, w.client_end, enclosures, &t0, &t1, &w.engine);
-  });
-  w.engine.run();
-  RELYNX_ASSERT(w.engine.process_failures().empty());
-  MoveResult r;
-  r.ms = sim::to_msec(t1 - t0);
-  r.goaheads = w.server_stats().goaheads_sent;
-  r.enc_packets = w.client_stats().enc_packets_sent;
-  r.packets = w.client_stats().packets_sent + w.server_stats().packets_sent;
+  if (s == Substrate::kCharlotte) {
+    const auto& cs = charlotte_stats(w.client);
+    const auto& ss = charlotte_stats(w.server);
+    r.goaheads = ss.goaheads_sent;
+    r.enc_packets = cs.enc_packets_sent;
+    r.packets = cs.packets_sent + ss.packets_sent;
+  }
   return r;
 }
 
@@ -92,8 +79,8 @@ void report() {
               "charlotte packets", "goaheads", "encs", "charlotte ms",
               "chrysalis ms");
   for (int k : {0, 1, 2, 3, 4, 6, 8}) {
-    MoveResult ch = run_move_charlotte(k);
-    MoveResult cy = run_move<ChrysalisWorld>(k);
+    MoveResult ch = run_move(Substrate::kCharlotte, k);
+    MoveResult cy = run_move(Substrate::kChrysalis, k);
     std::printf("%-6d %18llu %10llu %8llu %14.2f %14.3f\n", k,
                 static_cast<unsigned long long>(ch.packets),
                 static_cast<unsigned long long>(ch.goaheads),

@@ -11,101 +11,31 @@
 // Every (backend, drop-rate) point also emits a JSON line for plotting.
 #include "fault/faulty_medium.hpp"
 #include "harness.hpp"
-#include "net/token_ring.hpp"
 
 namespace {
 
 using namespace bench;
 
-struct FaultyCharlotteWorld {
-  sim::Engine engine;
-  net::TokenRing ring{engine};
-  fault::FaultyMedium medium;
-  charlotte::Cluster cluster;
-  lynx::Process server;
-  lynx::Process client;
-  lynx::LinkHandle server_end;
-  lynx::LinkHandle client_end;
-
-  explicit FaultyCharlotteWorld(std::uint64_t seed)
-      : medium(engine, ring, seed),
-        cluster(engine, 2, medium, robust_costs()),
-        server(engine, "server",
-               lynx::make_charlotte_backend(cluster, net::NodeId(0)),
-               lynx::vax_runtime_costs()),
-        client(engine, "client",
-               lynx::make_charlotte_backend(cluster, net::NodeId(1)),
-               lynx::vax_runtime_costs()) {
-    server.start();
-    client.start();
-    engine.spawn("wire", wire(this));
-    engine.run();
-  }
-  static charlotte::Costs robust_costs() {
-    charlotte::Costs c;
-    c.send_retransmit_timeout = sim::msec(150);
-    c.max_send_attempts = 20;  // loss, not failure: keep trying
-    return c;
-  }
-  static sim::Task<> wire(FaultyCharlotteWorld* w) {
-    auto [se, ce] =
-        co_await lynx::CharlotteBackend::connect(w->server, w->client);
-    w->server_end = se;
-    w->client_end = ce;
-  }
-};
-
-struct FaultySodaWorld {
-  sim::Engine engine;
-  net::CsmaBus bus;
-  fault::FaultyMedium medium;
-  lynx::SodaDirectory directory;
-  soda::Network network;
-  lynx::Process server;
-  lynx::Process client;
-  lynx::LinkHandle server_end;
-  lynx::LinkHandle client_end;
-
-  explicit FaultySodaWorld(std::uint64_t seed)
-      : bus(engine, sim::Rng(2026), quiet_bus()),
-        medium(engine, bus, seed),
-        network(engine, 2, medium, robust_costs()),
-        server(engine, "server",
-               lynx::make_soda_backend(network, directory, net::NodeId(0)),
-               lynx::pdp11_runtime_costs()),
-        client(engine, "client",
-               lynx::make_soda_backend(network, directory, net::NodeId(1)),
-               lynx::pdp11_runtime_costs()) {
-    server.start();
-    client.start();
-    engine.spawn("wire", wire(this));
-    engine.run();
-  }
-  static net::CsmaBusParams quiet_bus() {
-    net::CsmaBusParams p;
-    p.broadcast_drop_prob = 0.0;  // the fault layer owns all loss here
-    return p;
-  }
-  static soda::Costs robust_costs() {
-    soda::Costs c;
-    c.ack_timeout = sim::msec(8);
-    c.max_transport_attempts = 20;
-    return c;
-  }
-  static sim::Task<> wire(FaultySodaWorld* w) {
-    auto [se, ce] = co_await lynx::SodaBackend::connect(w->server, w->client);
-    w->server_end = se;
-    w->client_end = ce;
-  }
-};
+// Loss, not failure: both wire substrates keep retransmitting.  The SODA
+// bus keeps the fixed 2026 seed; `seed` drives the fault layer.
+load::WorldParams impaired_params(std::uint64_t seed) {
+  load::WorldParams p;
+  p.charlotte.send_retransmit_timeout = sim::msec(150);
+  p.charlotte.max_send_attempts = 20;
+  p.soda.ack_timeout = sim::msec(8);
+  p.soda.max_transport_attempts = 20;
+  p.bus_seed = 2026;
+  p.faults = fault::Plan{};
+  p.fault_seed = seed;
+  return p;
+}
 
 constexpr std::size_t kPayload = 16;
 constexpr int kReps = 8;
 
-template <typename World>
-double impaired_rpc_ms(std::uint64_t seed, double drop) {
-  World w(seed);  // boots over a clean wire
-  w.medium.set_background({.drop_prob = drop});
+double impaired_rpc_ms(Substrate s, std::uint64_t seed, double drop) {
+  Pair w(s, impaired_params(seed));  // boots over a clean wire
+  w.world.faulty_medium()->set_background({.drop_prob = drop});
   return lynx_rpc_ms(w, kPayload, kReps);
 }
 
@@ -114,19 +44,19 @@ void report() {
 
   // Chrysalis: no Medium anywhere in the stack — one measurement serves
   // every rate, and the flat line is itself the result.
-  ChrysalisWorld chw;
+  Pair chw(Substrate::kChrysalis);
   const double chrysalis_ms = lynx_rpc_ms(chw, kPayload, kReps);
 
   sweep::ThreadPool pool;
   auto charlotte = sweep::map<double, double>(
       rates,
       [](const double& r) {
-        return impaired_rpc_ms<FaultyCharlotteWorld>(401, r);
+        return impaired_rpc_ms(Substrate::kCharlotte, 401, r);
       },
       pool);
   auto soda = sweep::map<double, double>(
       rates,
-      [](const double& r) { return impaired_rpc_ms<FaultySodaWorld>(402, r); },
+      [](const double& r) { return impaired_rpc_ms(Substrate::kSoda, 402, r); },
       pool);
 
   table_header("E11: small-RPC latency vs frame drop rate (fault layer)");

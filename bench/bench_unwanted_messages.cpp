@@ -69,7 +69,7 @@ struct Outcome {
 };
 
 Outcome run_charlotte(int rounds) {
-  CharlotteWorld w;
+  Pair w(Substrate::kCharlotte);
   sim::Time t0 = 0, t1 = 0;
   w.server.spawn_thread("serve", [&](ThreadCtx& ctx) {
     return serve_thread(ctx, w.server_end, rounds);
@@ -84,16 +84,17 @@ Outcome run_charlotte(int rounds) {
   RELYNX_ASSERT(w.engine.process_failures().empty());
   Outcome o;
   o.ms_per_round = sim::to_msec(t1 - t0) / rounds;
-  o.unwanted = w.client_stats().unwanted_received;
-  o.forbids = w.client_stats().forbids_sent;
-  o.retries = w.client_stats().retries_sent;
-  o.allows = w.client_stats().allows_sent;
-  o.returned = w.server_stats().requests_returned;
+  const auto& cs = charlotte_stats(w.client);
+  o.unwanted = cs.unwanted_received;
+  o.forbids = cs.forbids_sent;
+  o.retries = cs.retries_sent;
+  o.allows = cs.allows_sent;
+  o.returned = charlotte_stats(w.server).requests_returned;
   return o;
 }
 
 Outcome run_soda(int rounds) {
-  SodaWorld w;
+  Pair w(Substrate::kSoda);
   sim::Time t0 = 0, t1 = 0;
   w.server.spawn_thread("serve", [&](ThreadCtx& ctx) {
     return serve_thread(ctx, w.server_end, rounds);

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "load/world.hpp"
 #include "lynx/lynx.hpp"
 #include "sim/engine.hpp"
 #include "sim/stats.hpp"
@@ -29,6 +30,8 @@
 #include "trace/trace.hpp"
 
 namespace bench {
+
+using load::Substrate;
 
 // ---- unified entry ---------------------------------------------------------
 //
@@ -113,131 +116,53 @@ inline void init(int argc, char** argv, const char* name,
   });
 }
 
-// ---- worlds: one client/server pair per substrate -------------------------
+// ---- worlds: one client/server pair --------------------------------------
 
-struct CharlotteWorld {
-  sim::Engine engine;
-  charlotte::Cluster cluster{engine, 4};
-  lynx::Process server{engine, "server",
-                       lynx::make_charlotte_backend(cluster, net::NodeId(0)),
-                       lynx::vax_runtime_costs()};
-  lynx::Process client{engine, "client",
-                       lynx::make_charlotte_backend(cluster, net::NodeId(1)),
-                       lynx::vax_runtime_costs()};
-  lynx::LinkHandle server_end;
-  lynx::LinkHandle client_end;
+inline sim::Task<> wire_pair(lynx::Process* server, lynx::Process* client,
+                             lynx::LinkHandle* server_end,
+                             lynx::LinkHandle* client_end) {
+  auto [se, ce] = co_await lynx::connect_any(*server, *client);
+  *server_end = se;
+  *client_end = ce;
+}
 
-  CharlotteWorld() { boot(); }
+// Starts both processes and joins them with one bootstrap link.
+inline void boot(sim::Engine& engine, lynx::Process& server,
+                 lynx::Process& client, lynx::LinkHandle* server_end,
+                 lynx::LinkHandle* client_end) {
+  server.start();
+  client.start();
+  engine.spawn("wire", wire_pair(&server, &client, server_end, client_end));
+  engine.run();
+}
 
-  void boot() {
-    server.start();
-    client.start();
-    engine.spawn("wire", wire(this));
-    engine.run();
+// A server on node 0 and a client on node 1 of one load::World.
+struct Pair {
+  explicit Pair(Substrate s, load::WorldParams p = params())
+      : world(engine, s, std::move(p)),
+        server(world.make_process("server", 0)),
+        client(world.make_process("client", 1)) {
+    boot(engine, server, client, &server_end, &client_end);
   }
-  static sim::Task<> wire(CharlotteWorld* w) {
-    auto [se, ce] =
-        co_await lynx::CharlotteBackend::connect(w->server, w->client);
-    w->server_end = se;
-    w->client_end = ce;
-  }
-  [[nodiscard]] const lynx::CharlotteBackend::Stats& client_stats() {
-    return dynamic_cast<lynx::CharlotteBackend&>(client.backend()).stats();
-  }
-  [[nodiscard]] const lynx::CharlotteBackend::Stats& server_stats() {
-    return dynamic_cast<lynx::CharlotteBackend&>(server.backend()).stats();
-  }
-};
-
-struct ChrysalisWorld {
-  explicit ChrysalisWorld(double tuning_scale = 1.0,
-                          lynx::RuntimeCosts rc = lynx::mc68000_runtime_costs())
-      : kernel(engine, net::ButterflyParams{}, scaled_costs(tuning_scale)),
-        server(engine, "server",
-               lynx::make_chrysalis_backend(kernel, net::NodeId(0)),
-               scale_rc(rc, tuning_scale)),
-        client(engine, "client",
-               lynx::make_chrysalis_backend(kernel, net::NodeId(1)),
-               scale_rc(rc, tuning_scale)) {
-    boot();
-  }
-
-  static chrysalis::Costs scaled_costs(double s) {
-    chrysalis::Costs c;
-    auto f = [s](sim::Duration d) {
-      return static_cast<sim::Duration>(static_cast<double>(d) * s);
-    };
-    c.primitive_call = f(c.primitive_call);
-    c.event_post = f(c.event_post);
-    c.event_wait = f(c.event_wait);
-    c.dq_enqueue = f(c.dq_enqueue);
-    c.dq_dequeue = f(c.dq_dequeue);
-    return c;
-  }
-  static lynx::RuntimeCosts scale_rc(lynx::RuntimeCosts rc, double s) {
-    rc.per_operation =
-        static_cast<sim::Duration>(static_cast<double>(rc.per_operation) * s);
-    return rc;
-  }
-
-  sim::Engine engine;
-  chrysalis::Kernel kernel;
-  lynx::Process server;
-  lynx::Process client;
-  lynx::LinkHandle server_end;
-  lynx::LinkHandle client_end;
-
-  void boot() {
-    server.start();
-    client.start();
-    engine.spawn("wire", wire(this));
-    engine.run();
-  }
-  static sim::Task<> wire(ChrysalisWorld* w) {
-    auto [se, ce] =
-        co_await lynx::ChrysalisBackend::connect(w->server, w->client);
-    w->server_end = se;
-    w->client_end = ce;
-  }
-};
-
-struct SodaWorld {
-  explicit SodaWorld(lynx::SodaBackendParams bp = {})
-      : network(engine, 6, sim::Rng(bench::seed()), quiet_bus()),
-        server(engine, "server",
-               lynx::make_soda_backend(network, directory, net::NodeId(0), bp),
-               lynx::pdp11_runtime_costs()),
-        client(engine, "client",
-               lynx::make_soda_backend(network, directory, net::NodeId(1), bp),
-               lynx::pdp11_runtime_costs()) {
-    boot();
-  }
-  static net::CsmaBusParams quiet_bus() {
-    net::CsmaBusParams p;
-    p.broadcast_drop_prob = 0.0;
+  // A quiet world seeded by --seed.
+  static load::WorldParams params() {
+    load::WorldParams p;
+    p.bus_seed = bench::seed();
     return p;
   }
 
   sim::Engine engine;
-  lynx::SodaDirectory directory;
-  soda::Network network;
-  lynx::Process server;
-  lynx::Process client;
+  load::World world;
+  lynx::Process& server;
+  lynx::Process& client;
   lynx::LinkHandle server_end;
   lynx::LinkHandle client_end;
-
-  void boot() {
-    server.start();
-    client.start();
-    engine.spawn("wire", wire(this));
-    engine.run();
-  }
-  static sim::Task<> wire(SodaWorld* w) {
-    auto [se, ce] = co_await lynx::SodaBackend::connect(w->server, w->client);
-    w->server_end = se;
-    w->client_end = ce;
-  }
 };
+
+[[nodiscard]] inline const lynx::CharlotteBackend::Stats& charlotte_stats(
+    lynx::Process& p) {
+  return dynamic_cast<lynx::CharlotteBackend&>(p.backend()).stats();
+}
 
 // ---- the standard workload: N echo RPCs with a given payload ---------------
 

@@ -7,18 +7,11 @@
 #include <thread>
 #include <utility>
 
-#include "charlotte/kernel.hpp"
 #include "check/linearizability.hpp"
-#include "chrysalis/kernel.hpp"
-#include "fault/faulty_medium.hpp"
-#include "fault/invariant_checker.hpp"
+#include "load/world.hpp"
 #include "lynx/connect.hpp"
 #include "lynx/lynx.hpp"
-#include "net/csma_bus.hpp"
-#include "net/token_ring.hpp"
 #include "replica/replica.hpp"
-#include "sim/random.hpp"
-#include "soda/kernel.hpp"
 #include "sweep/sweep.hpp"
 #include "trace/trace.hpp"
 
@@ -71,34 +64,22 @@ fault::Plan plan_of(PlanSpec spec) {
          spec == PlanSpec::kBackupBounce;
 }
 
-charlotte::Costs charlotte_costs(const RunConfig& cfg) {
-  charlotte::Costs c;
+// The echo universe: server node 0, client node 1, a medium wrapped in
+// the plan (no medium, hence no plan and no medium invariants, on
+// Chrysalis), on the default 16-node Butterfly.
+load::WorldParams world_params(const RunConfig& cfg) {
+  load::WorldParams p;
   // 8 x 100ms of retransmission outlasts the storm window.
-  c.send_retransmit_timeout = sim::msec(100);
-  c.max_send_attempts = 8;
-  c.debug_drop_reacks = cfg.inject_reack_bug;
-  if (formation_on(cfg)) c.form_delay = kFormDelay;
-  return c;
-}
-
-soda::Costs soda_costs(const RunConfig& cfg) {
-  soda::Costs c;
+  p.charlotte.send_retransmit_timeout = sim::msec(100);
+  p.charlotte.max_send_attempts = 8;
+  p.charlotte.debug_drop_reacks = cfg.inject_reack_bug;
   // 40 x 12ms of per-fragment retransmission outlasts the storm window.
-  c.ack_timeout = sim::msec(12);
-  c.max_transport_attempts = 40;
-  if (formation_on(cfg)) c.form_delay = kFormDelay;
-  return c;
-}
-
-lynx::ChrysalisBackendParams chrysalis_params(const RunConfig& cfg) {
-  lynx::ChrysalisBackendParams p;
+  p.soda.ack_timeout = sim::msec(12);
+  p.soda.max_transport_attempts = 40;
   if (formation_on(cfg)) p.form_delay = kFormDelay;
-  return p;
-}
-
-net::CsmaBusParams quiet_bus() {
-  net::CsmaBusParams p;
-  p.broadcast_drop_prob = 0.0;  // loss comes from the plan, not the bus
+  p.bus_seed = cfg.seed;
+  p.faults = plan_of(cfg.plan);
+  p.fault_seed = cfg.seed;
   return p;
 }
 
@@ -274,7 +255,7 @@ RunVerdict run_replica_one(const RunConfig& cfg) {
   } else {
     v.ok = true;
   }
-  return v;  // ~Group shuts the engine down before the world unwinds
+  return v;  // the Group's World shuts the engine down as it unwinds
 }
 
 }  // namespace
@@ -288,74 +269,9 @@ RunVerdict run_one(const RunConfig& cfg) {
       {.kind = cfg.tie, .seed = cfg.seed, .horizon = cfg.horizon});
   trace::Recorder rec(engine, 1u << 18);
 
-  // Substrate members, declared engine-first so teardown runs processes
-  // -> kernels -> medium; engine.shutdown() below handles parked frames
-  // while everything is still alive (the Fleet discipline).
-  std::unique_ptr<net::TokenRing> ring;
-  std::unique_ptr<net::CsmaBus> bus;
-  std::unique_ptr<fault::FaultyMedium> medium;
-  std::unique_ptr<fault::InvariantChecker> invariants;
-  std::unique_ptr<charlotte::Cluster> cluster;
-  lynx::SodaDirectory directory;
-  std::unique_ptr<soda::Network> network;
-  std::unique_ptr<chrysalis::Kernel> kernel;
-  std::unique_ptr<lynx::Process> server;
-  std::unique_ptr<lynx::Process> client;
-
-  const fault::Plan plan = plan_of(cfg.plan);
-  switch (cfg.substrate) {
-    case load::Substrate::kCharlotte: {
-      ring = std::make_unique<net::TokenRing>(engine);
-      medium =
-          std::make_unique<fault::FaultyMedium>(engine, *ring, cfg.seed, plan);
-      invariants = std::make_unique<fault::InvariantChecker>(*medium);
-      cluster = std::make_unique<charlotte::Cluster>(engine, 2, *medium,
-                                                     charlotte_costs(cfg));
-      server = std::make_unique<lynx::Process>(
-          engine, "server", lynx::make_charlotte_backend(*cluster, NodeId(0)),
-          lynx::vax_runtime_costs());
-      client = std::make_unique<lynx::Process>(
-          engine, "client", lynx::make_charlotte_backend(*cluster, NodeId(1)),
-          lynx::vax_runtime_costs());
-      break;
-    }
-    case load::Substrate::kSoda: {
-      bus = std::make_unique<net::CsmaBus>(engine, sim::Rng(cfg.seed),
-                                           quiet_bus());
-      medium =
-          std::make_unique<fault::FaultyMedium>(engine, *bus, cfg.seed, plan);
-      invariants = std::make_unique<fault::InvariantChecker>(*medium);
-      network =
-          std::make_unique<soda::Network>(engine, 2, *medium, soda_costs(cfg));
-      server = std::make_unique<lynx::Process>(
-          engine, "server",
-          lynx::make_soda_backend(*network, directory, NodeId(0)),
-          lynx::pdp11_runtime_costs());
-      client = std::make_unique<lynx::Process>(
-          engine, "client",
-          lynx::make_soda_backend(*network, directory, NodeId(1)),
-          lynx::pdp11_runtime_costs());
-      break;
-    }
-    case load::Substrate::kChrysalis: {
-      // Shared-memory Butterfly: no medium, hence no plan and no
-      // medium invariants — the other two oracles still apply.
-      kernel = std::make_unique<chrysalis::Kernel>(engine,
-                                                   net::ButterflyParams{});
-      server = std::make_unique<lynx::Process>(
-          engine, "server",
-          lynx::make_chrysalis_backend(*kernel, NodeId(0),
-                                       chrysalis_params(cfg)),
-          lynx::mc68000_runtime_costs());
-      client = std::make_unique<lynx::Process>(
-          engine, "client",
-          lynx::make_chrysalis_backend(*kernel, NodeId(1),
-                                       chrysalis_params(cfg)),
-          lynx::mc68000_runtime_costs());
-      break;
-    }
-  }
-
+  load::World world(engine, cfg.substrate, world_params(cfg));
+  lynx::Process* server = &world.make_process("server", 0);
+  lynx::Process* client = &world.make_process("client", 1);
   server->start();
   client->start();
   // cfg.channels independent links; per-channel server and client
@@ -364,8 +280,8 @@ RunVerdict run_one(const RunConfig& cfg) {
   const int channels = cfg.channels > 0 ? cfg.channels : 1;
   std::vector<lynx::LinkHandle> server_ends;
   std::vector<lynx::LinkHandle> client_ends;
-  engine.spawn("wire", wire(server.get(), client.get(), channels,
-                            &server_ends, &client_ends));
+  engine.spawn("wire",
+               wire(server, client, channels, &server_ends, &client_ends));
   engine.run();
 
   const int n = cfg.calls;
@@ -394,8 +310,8 @@ RunVerdict run_one(const RunConfig& cfg) {
   if (!conforms) {
     v.divergence = model.divergence();
     v.failure = v.divergence->render();
-  } else if (invariants != nullptr && !invariants->ok()) {
-    v.failure = "medium invariant: " + invariants->violations().front();
+  } else if (world.invariant_violation().has_value()) {
+    v.failure = "medium invariant: " + *world.invariant_violation();
   } else if (!engine.process_failures().empty()) {
     v.failure = "process failure: " + engine.process_failures().front();
   } else if (!server->thread_failures().empty()) {
@@ -410,10 +326,7 @@ RunVerdict run_one(const RunConfig& cfg) {
   } else {
     v.ok = true;
   }
-
-  // Destroy parked frames while processes and kernels are still alive.
-  engine.shutdown();
-  return v;
+  return v;  // ~World shuts the engine down before its members unwind
 }
 
 // ---- repro tokens ----------------------------------------------------

@@ -2,86 +2,50 @@
 
 #include <algorithm>
 #include <string>
-#include <utility>
 
-#include "charlotte/kernel.hpp"
-#include "chrysalis/kernel.hpp"
 #include "common/assert.hpp"
-#include "net/butterfly_switch.hpp"
-#include "net/csma_bus.hpp"
-#include "sim/random.hpp"
-#include "soda/kernel.hpp"
 
 namespace load {
 
-const char* to_string(Substrate s) {
-  switch (s) {
-    case Substrate::kCharlotte: return "charlotte";
-    case Substrate::kSoda: return "soda";
-    case Substrate::kChrysalis: return "chrysalis";
-  }
-  return "?";
+namespace {
+
+WorldParams world_params(const Scenario& sc) {
+  WorldParams p;
+  p.nodes = sc.servers + sc.clients;
+  p.fabric.nodes = static_cast<std::uint32_t>(p.nodes);
+  p.form_delay = sc.form_delay;
+  p.form_max_bytes = sc.form_max_bytes;
+  p.bus_seed = sc.seed ^ 0x50da50daULL;
+  // Each LYNX link end parks one standing status signal at its peer
+  // (SodaBackend::post_signal), so a client pipelining across N
+  // channels holds N signal slots PLUS up to N data requests against
+  // the §4.2.1 per-pair admission budget — at N == the default budget
+  // of 8 the signals alone fill it and every data request bounces
+  // with kTooManyRequests forever.  Scale the budget with the wiring
+  // so deep-pipeline scenarios saturate on the wire, not on the
+  // admission limit.
+  p.soda.max_outstanding_per_pair =
+      std::max(p.soda.max_outstanding_per_pair,
+               static_cast<int>(2 * sc.channels_per_client + 2));
+  return p;
 }
 
-std::array<Substrate, 3> all_substrates() {
-  return {Substrate::kCharlotte, Substrate::kSoda, Substrate::kChrysalis};
-}
+}  // namespace
 
-Fleet::Fleet(Substrate substrate, const Scenario& sc) : substrate_(substrate) {
+Fleet::Fleet(Substrate substrate, const Scenario& sc)
+    : world_(engine_, substrate, world_params(sc)) {
   RELYNX_ASSERT(sc.servers >= 1 && sc.clients >= 1);
   RELYNX_ASSERT(sc.channels_per_client >= 1 && sc.server_threads >= 1);
-  const std::size_t total = sc.servers + sc.clients;
-  form_delay_ = sc.form_delay;
-  form_max_bytes_ = sc.form_max_bytes;
-  switch (substrate_) {
-    case Substrate::kCharlotte: {
-      charlotte::Costs costs;
-      costs.form_delay = sc.form_delay;
-      costs.form_max_bytes = sc.form_max_bytes;
-      charlotte_cluster_ = std::make_unique<charlotte::Cluster>(
-          engine_, total, net::TokenRingParams{}, costs);
-      break;
-    }
-    case Substrate::kSoda: {
-      // A quiet bus: capacity is a property of the kernel interface and
-      // protocol here, not of injected loss (src/fault/ owns that).
-      net::CsmaBusParams p;
-      p.broadcast_drop_prob = 0.0;
-      soda::Costs costs;
-      costs.form_delay = sc.form_delay;
-      costs.form_max_bytes = sc.form_max_bytes;
-      // Each LYNX link end parks one standing status signal at its peer
-      // (SodaBackend::post_signal), so a client pipelining across N
-      // channels holds N signal slots PLUS up to N data requests against
-      // the §4.2.1 per-pair admission budget — at N == the default budget
-      // of 8 the signals alone fill it and every data request bounces
-      // with kTooManyRequests forever.  Scale the budget with the wiring
-      // so deep-pipeline scenarios saturate on the wire, not on the
-      // admission limit.
-      costs.max_outstanding_per_pair = std::max(
-          costs.max_outstanding_per_pair,
-          static_cast<int>(2 * sc.channels_per_client + 2));
-      soda_network_ = std::make_unique<soda::Network>(
-          engine_, total, sim::Rng(sc.seed ^ 0x50da50daULL), p, costs);
-      break;
-    }
-    case Substrate::kChrysalis: {
-      net::ButterflyParams fabric;
-      fabric.nodes = static_cast<std::uint32_t>(total);
-      chrysalis_kernel_ =
-          std::make_unique<chrysalis::Kernel>(engine_, fabric);
-      break;
-    }
-  }
   for (std::size_t s = 0; s < sc.servers; ++s) {
-    server_procs_.push_back(make_process("server" + std::to_string(s), s));
+    server_procs_.push_back(
+        &world_.make_process("server" + std::to_string(s), s));
   }
   for (std::size_t i = 0; i < sc.clients; ++i) {
     client_procs_.push_back(
-        make_process("client" + std::to_string(i), sc.servers + i));
+        &world_.make_process("client" + std::to_string(i), sc.servers + i));
   }
-  for (auto& p : server_procs_) p->start();
-  for (auto& p : client_procs_) p->start();
+  for (lynx::Process* p : server_procs_) p->start();
+  for (lynx::Process* p : client_procs_) p->start();
 
   server_inbound_.resize(sc.servers);
   client_channels_.resize(sc.clients);
@@ -92,57 +56,6 @@ Fleet::Fleet(Substrate substrate, const Scenario& sc) : substrate_(substrate) {
     RELYNX_ASSERT_MSG(client_channels_[i].size() == sc.channels_per_client,
                       "fleet wiring incomplete");
   }
-}
-
-Fleet::~Fleet() {
-  // A loaded run can end at the measurement deadline with hundreds of
-  // coroutine frames still parked mid-RPC.  Their local destructors
-  // (claim guards, spans) touch Process and kernel state, so tear the
-  // frames down NOW, while members — destroyed before engine_ in
-  // reverse declaration order — are all still alive.
-  engine_.shutdown();
-}
-
-std::unique_ptr<lynx::Process> Fleet::make_process(std::string name,
-                                                   std::size_t node) {
-  const net::NodeId nid(static_cast<std::uint32_t>(node));
-  switch (substrate_) {
-    case Substrate::kCharlotte:
-      return std::make_unique<lynx::Process>(
-          engine_, std::move(name),
-          lynx::make_charlotte_backend(*charlotte_cluster_, nid),
-          lynx::vax_runtime_costs());
-    case Substrate::kSoda:
-      return std::make_unique<lynx::Process>(
-          engine_, std::move(name),
-          lynx::make_soda_backend(*soda_network_, directory_, nid),
-          lynx::pdp11_runtime_costs());
-    case Substrate::kChrysalis: {
-      lynx::ChrysalisBackendParams bp;
-      bp.form_delay = form_delay_;
-      // Scale the byte budget into a notice budget: notices are one
-      // 32-bit datum each, and 64-per-batch keeps parity with the
-      // default 1024-byte frame budget holding ~64 small enclosures.
-      bp.form_max_notices = std::max<std::size_t>(2, form_max_bytes_ / 16);
-      return std::make_unique<lynx::Process>(
-          engine_, std::move(name),
-          lynx::make_chrysalis_backend(*chrysalis_kernel_, nid, bp),
-          lynx::mc68000_runtime_costs());
-    }
-  }
-  return nullptr;
-}
-
-std::uint64_t Fleet::wire_ops() {
-  switch (substrate_) {
-    case Substrate::kCharlotte:
-      return charlotte_cluster_->medium().frames_sent();
-    case Substrate::kSoda:
-      return soda_network_->medium().frames_sent();
-    case Substrate::kChrysalis:
-      return chrysalis_kernel_->enqueue_calls();
-  }
-  return 0;
 }
 
 sim::Task<> Fleet::wire(Fleet* f, Scenario sc) {

@@ -1,7 +1,7 @@
 // A Fleet instantiates a Scenario's topology on one kernel substrate:
-// the engine, the kernel, the server and client processes with their
-// calibrated runtime costs, and the bootstrap links between them —
-// everything except the traffic (load::Runner drives that).
+// the engine, a load::World holding the server and client processes,
+// and the bootstrap links between them — everything except the traffic
+// (load::Runner drives that).
 //
 // Node layout: servers (or pipeline stages) occupy nodes 0..M-1,
 // clients M..M+N-1.  Fan-in wires every channel of client i to server
@@ -10,41 +10,23 @@
 // forwards never serialize on a link's one-outstanding-call rule.
 #pragma once
 
-#include <array>
-#include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "load/scenario.hpp"
+#include "load/world.hpp"
 #include "lynx/lynx.hpp"
 #include "sim/engine.hpp"
 
-namespace charlotte {
-class Cluster;
-}
-namespace soda {
-class Network;
-}
-namespace chrysalis {
-class Kernel;
-}
-
 namespace load {
-
-enum class Substrate : std::uint8_t { kCharlotte = 0, kSoda = 1, kChrysalis = 2 };
-
-[[nodiscard]] const char* to_string(Substrate s);
-[[nodiscard]] std::array<Substrate, 3> all_substrates();
 
 class Fleet {
  public:
   Fleet(Substrate substrate, const Scenario& scenario);
   Fleet(const Fleet&) = delete;
   Fleet& operator=(const Fleet&) = delete;
-  ~Fleet();
 
   [[nodiscard]] sim::Engine& engine() { return engine_; }
-  [[nodiscard]] Substrate substrate() const { return substrate_; }
+  [[nodiscard]] Substrate substrate() const { return world_.substrate(); }
   [[nodiscard]] std::size_t servers() const { return server_procs_.size(); }
   [[nodiscard]] std::size_t clients() const { return client_procs_.size(); }
   [[nodiscard]] lynx::Process& server(std::size_t s) {
@@ -71,27 +53,20 @@ class Fleet {
     return forward_links_[s];
   }
 
-  // Physical wire operations so far: frames on the medium for Charlotte
-  // and SODA, dual-queue enqueue dispatches for Chrysalis (which has no
-  // wire).  Sampled by the Runner at the measure window's edges (E16).
-  [[nodiscard]] std::uint64_t wire_ops();
+  // World::wire_ops, sampled by the Runner at the measure window's
+  // edges (E16).
+  [[nodiscard]] std::uint64_t wire_ops() const { return world_.wire_ops(); }
 
  private:
-  [[nodiscard]] std::unique_ptr<lynx::Process> make_process(std::string name,
-                                                            std::size_t node);
   [[nodiscard]] static sim::Task<> wire(Fleet* f, Scenario sc);
 
-  Substrate substrate_;
-  sim::Duration form_delay_ = 0;
-  std::size_t form_max_bytes_ = 1024;
   sim::Engine engine_;
-  lynx::SodaDirectory directory_;
-  std::unique_ptr<charlotte::Cluster> charlotte_cluster_;
-  std::unique_ptr<soda::Network> soda_network_;
-  std::unique_ptr<chrysalis::Kernel> chrysalis_kernel_;
-  // Declared after the kernels so processes tear down first.
-  std::vector<std::unique_ptr<lynx::Process>> server_procs_;
-  std::vector<std::unique_ptr<lynx::Process>> client_procs_;
+  // A loaded run can end at the measurement deadline with hundreds of
+  // coroutine frames parked mid-RPC; ~World shuts the engine down while
+  // the processes and kernels those frames touch are still alive.
+  World world_;
+  std::vector<lynx::Process*> server_procs_;
+  std::vector<lynx::Process*> client_procs_;
   std::vector<std::vector<lynx::LinkHandle>> server_inbound_;
   std::vector<std::vector<lynx::LinkHandle>> client_channels_;
   std::vector<std::vector<lynx::LinkHandle>> forward_links_;

@@ -14,3 +14,4 @@
 #include "load/report.hpp"
 #include "load/runner.hpp"
 #include "load/scenario.hpp"
+#include "load/world.hpp"

@@ -183,7 +183,6 @@ sim::Task<> CharlotteBackend::run_ksend(BLink token) {
   const KSend& ks = link->ksend_queue.front();
   const std::uint64_t sent_out_id = ks.out_id;
   const PType sent_ptype = ks.ptype;
-  ++packets_sent_;
   ++stats_.packets_sent;
   charlotte::Status st = co_await cluster_->kernel(node_).send(
       pid_, link->end, ks.payload, ks.enclosure, ks.trace);

@@ -65,7 +65,7 @@ class CharlotteBackend final : public Backend {
   void retract_reply_interest(BLink link) override;  // cannot help: no-op
   [[nodiscard]] sim::Task<void> destroy(BLink link) override;
   [[nodiscard]] std::uint64_t protocol_messages() const override {
-    return packets_sent_;
+    return stats_.packets_sent;
   }
   [[nodiscard]] std::uint32_t trace_node() const override {
     return node_.value();
@@ -205,7 +205,6 @@ class CharlotteBackend final : public Backend {
   std::unordered_map<std::uint64_t, OutMsg> out_msgs_;
   common::IdAllocator<BLink> blink_ids_;
   std::uint64_t next_out_id_ = 1;
-  std::uint64_t packets_sent_ = 0;
   Stats stats_;
 };
 

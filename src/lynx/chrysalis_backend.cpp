@@ -51,6 +51,9 @@ constexpr std::uint32_t kCodePoison = 15;
 // dispatch instead of paying a full dq_dequeue per notice.
 constexpr std::size_t kDrainMaxNotices = 16;
 
+// Notices one process's dual queue holds; enqueue past it is kQueueFull.
+constexpr std::size_t kDualQueueCapacity = 64;
+
 // Consumed-notice coalescing (DESIGN.md §12): after consuming a request
 // we owe the sender a CONSUMED notice — but if our reply goes out within
 // this delay, the reply's FILLED notice proves consumption (RPC
@@ -198,8 +201,7 @@ void ChrysalisBackend::start(Sink sink) {
 sim::Task<> ChrysalisBackend::pump() {
   // One dual queue + one event block per process (paper §5.2 opening).
   {
-    auto dq = co_await kernel_->make_dual_queue(pid_,
-                                                params_.dual_queue_capacity);
+    auto dq = co_await kernel_->make_dual_queue(pid_, kDualQueueCapacity);
     RELYNX_ASSERT(dq.ok());
     my_dq_ = dq.value();
     auto ev = co_await kernel_->make_event(pid_);
@@ -231,7 +233,6 @@ sim::Task<> ChrysalisBackend::pump() {
         poisoned = true;
         break;
       }
-      ++notices_taken_;
       switch (code) {
         case kCodeRecheck:
           co_await recheck_link(obj);

@@ -32,7 +32,6 @@ namespace lynx {
 
 struct ChrysalisBackendParams {
   std::size_t max_message_bytes = 2048;  // per-direction buffer size
-  std::size_t dual_queue_capacity = 64;
   // Notice formation (src/form/, DESIGN.md §14) — the shared-memory
   // analogue of RPC formation: notices bound for the same dual queue
   // (another process's or our own) within form_delay of each other ride
@@ -77,6 +76,7 @@ class ChrysalisBackend final : public Backend {
   }
 
   [[nodiscard]] chrysalis::Pid pid() const { return pid_; }
+  [[nodiscard]] const auto& params() const { return params_; }
 
   // Bootstrap: wire two started-or-starting processes together with a
   // fresh link (the loader's job).  Run on the engine before traffic.
@@ -170,7 +170,6 @@ class ChrysalisBackend final : public Backend {
   std::unordered_map<chrysalis::MemId, std::array<BLink, 2>> by_obj_;
   common::IdAllocator<BLink> blink_ids_;
   std::uint64_t notices_ = 0;  // logical notices, batched or not
-  std::uint64_t notices_taken_ = 0;
   struct NoticeQueue {
     std::vector<std::uint32_t> pending;
     sim::TimerHandle deadline;

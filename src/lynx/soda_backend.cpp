@@ -126,6 +126,27 @@ SodaBackend::SLink* SodaBackend::find_by_name(soda::Name name) {
   return it == by_name_.end() ? nullptr : find(it->second);
 }
 
+std::optional<soda::Pid> SodaBackend::moved_owner(soda::Name name) const {
+  // Newest first: an end that left us twice is wherever it went last.
+  for (auto it = moved_cache_.rbegin(); it != moved_cache_.rend(); ++it) {
+    if (it->first == name) return it->second;
+  }
+  return std::nullopt;
+}
+
+void SodaBackend::answer_straggler(const soda::RequestInterrupt& r) {
+  // A recently-moved end answers from the cache, an unknown one is
+  // (assumed) destroyed.
+  if (const std::optional<soda::Pid> owner = moved_owner(r.name)) {
+    ++stats_.moved_redirects;
+    network_->engine().spawn(
+        "soda-redirect", accept_with(r.request, Oop::kMoved, owner->value()));
+    return;
+  }
+  network_->engine().spawn("soda-dead",
+                           accept_with(r.request, Oop::kDestroyed, 0));
+}
+
 void SodaBackend::remember_move(soda::Name name, soda::Pid new_owner) {
   moved_cache_.emplace_back(name, new_owner);
   if (moved_cache_.size() > params_.moved_cache_capacity) {
@@ -150,10 +171,8 @@ sim::Task<std::pair<BLink, BLink>> SodaBackend::make_link() {
   (void)co_await k.advertise(pid_, n2);
   const BLink a = blink_ids_.next();
   const BLink b = blink_ids_.next();
-  links_.emplace(a, SLink{a, n1, n2, pid_, false, false, false, false,
-                          {}, {}, soda::ReqId::invalid()});
-  links_.emplace(b, SLink{b, n2, n1, pid_, false, false, false, false,
-                          {}, {}, soda::ReqId::invalid()});
+  links_.emplace(a, SLink{a, n1, n2, pid_});
+  links_.emplace(b, SLink{b, n2, n1, pid_});
   by_name_.emplace(n1, a);
   by_name_.emplace(n2, b);
   co_return std::pair(a, b);
@@ -205,7 +224,6 @@ sim::Task<> SodaBackend::issue_send(std::uint64_t out_id) {
                                      : Oop::kReplyMsg),
       0};
   out.target = link->peer_hint;
-  ++requests_issued_;
   ++stats_.requests_issued;
   auto req = co_await network_->kernel_of(pid_).request(
       pid_, link->peer_hint, link->peer_name, oob, out.data, 0, out.trace);
@@ -311,19 +329,7 @@ void SodaBackend::on_request(const soda::RequestInterrupt& r) {
     case Oop::kReplyMsg: {
       SLink* link = find_by_name(r.name);
       if (link == nullptr || link->destroyed) {
-        // Stragglers: a recently-moved end answers from the cache, an
-        // unknown one is (assumed) destroyed.
-        for (const auto& [name, owner] : moved_cache_) {
-          if (name == r.name) {
-            ++stats_.moved_redirects;
-            network_->engine().spawn(
-                "soda-redirect",
-                accept_with(r.request, Oop::kMoved, owner.value()));
-            return;
-          }
-        }
-        network_->engine().spawn("soda-dead",
-                                 accept_with(r.request, Oop::kDestroyed, 0));
+        answer_straggler(r);
         return;
       }
       if (op == Oop::kReplyMsg) {
@@ -338,7 +344,7 @@ void SodaBackend::on_request(const soda::RequestInterrupt& r) {
         // Replies are always wanted: accept at once.
         network_->engine().spawn(
             "soda-reply-accept",
-            accept_reply(link->token, r.request, r.trace));
+            accept_msg(link->token, r.request, MsgKind::kReply, r.trace));
         return;
       }
       // LYNX request: PARK until the runtime wants it — screening by
@@ -352,17 +358,7 @@ void SodaBackend::on_request(const soda::RequestInterrupt& r) {
     case Oop::kSignal: {
       SLink* link = find_by_name(r.name);
       if (link == nullptr || link->destroyed) {
-        for (const auto& [name, owner] : moved_cache_) {
-          if (name == r.name) {
-            ++stats_.moved_redirects;
-            network_->engine().spawn(
-                "soda-redirect",
-                accept_with(r.request, Oop::kMoved, owner.value()));
-            return;
-          }
-        }
-        network_->engine().spawn("soda-dead",
-                                 accept_with(r.request, Oop::kDestroyed, 0));
+        answer_straggler(r);
         return;
       }
       parked_.emplace(r.request,
@@ -436,22 +432,17 @@ sim::Task<> SodaBackend::answer_freeze(soda::ReqId req, soda::Pid from) {
   // LYNX would use two phases; we emulate by answering in a follow-up
   // request if we do hold a hint.
   const soda::Name sought = decode_name(taken.value());
-  std::uint64_t hint = 0;
-  if (find_by_name(sought) != nullptr) {
-    hint = pid_.value() + 1;  // +1 so pid 0 is distinguishable from "none"
-  } else {
-    for (const auto& [name, owner] : moved_cache_) {
-      if (name == sought) hint = owner.value() + 1;
-    }
-  }
-  if (hint != 0) {
+  const std::optional<soda::Pid> hint =
+      find_by_name(sought) != nullptr ? std::optional(pid_)
+                                      : moved_owner(sought);
+  if (hint.has_value()) {
     // Tell the searcher via its freeze name (it is in the directory).
     for (const auto& entry : directory_->processes) {
       if (entry.pid == from) {
         (void)co_await network_->kernel_of(pid_).request(
             pid_, entry.pid, entry.freeze_name,
             soda::Oob{static_cast<std::uint32_t>(Oop::kHint),
-                      static_cast<std::uint32_t>(hint - 1)},
+                      static_cast<std::uint32_t>(hint->value())},
             encode_name(sought), 0);
         break;
       }
@@ -688,28 +679,18 @@ void SodaBackend::maybe_accept_parked(SLink& link) {
     const std::uint64_t trace = pit->second.trace;
     parked_.erase(pit);
     network_->engine().spawn(
-        "soda-accept", accept_parked_request(link.token, req, trace));
+        "soda-accept", accept_msg(link.token, req, MsgKind::kRequest, trace));
   }
 }
 
-sim::Task<> SodaBackend::accept_parked_request(BLink token, soda::ReqId req,
-                                               std::uint64_t trace) {
+sim::Task<> SodaBackend::accept_msg(BLink token, soda::ReqId req, MsgKind kind,
+                                    std::uint64_t trace) {
   auto taken = co_await network_->kernel_of(pid_).accept(
       pid_, req, soda::Oob{static_cast<std::uint32_t>(Oop::kAcceptOk), 0},
       {}, kBigBuffer);
   SLink* link = find(token);
   if (!taken.ok() || link == nullptr) co_return;
-  co_await deliver(*link, MsgKind::kRequest, taken.value(), trace);
-}
-
-sim::Task<> SodaBackend::accept_reply(BLink token, soda::ReqId req,
-                                      std::uint64_t trace) {
-  auto taken = co_await network_->kernel_of(pid_).accept(
-      pid_, req, soda::Oob{static_cast<std::uint32_t>(Oop::kAcceptOk), 0},
-      {}, kBigBuffer);
-  SLink* link = find(token);
-  if (!taken.ok() || link == nullptr) co_return;
-  co_await deliver(*link, MsgKind::kReply, taken.value(), trace);
+  co_await deliver(*link, kind, taken.value(), trace);
 }
 
 sim::Task<> SodaBackend::deliver(SLink& link, MsgKind kind,
@@ -724,8 +705,7 @@ sim::Task<> SodaBackend::deliver(SLink& link, MsgKind kind,
     const soda::Pid hint(static_cast<std::uint32_t>(e[2]));
     (void)co_await k.advertise(pid_, my_name);
     const BLink nb = blink_ids_.next();
-    links_.emplace(nb, SLink{nb, my_name, peer_name, hint, false, false,
-                             false, false, {}, {}, soda::ReqId::invalid()});
+    links_.emplace(nb, SLink{nb, my_name, peer_name, hint});
     by_name_.emplace(my_name, nb);
     enclosures.push_back(nb);
   }
@@ -899,12 +879,10 @@ sim::Task<std::pair<LinkHandle, LinkHandle>> SodaBackend::connect(
   (void)co_await ka.advertise(ba->pid_, na);
   (void)co_await kb.advertise(bb->pid_, nb);
   const BLink ta = ba->blink_ids_.next();
-  ba->links_.emplace(ta, SLink{ta, na, nb, bb->pid_, false, false, false,
-                               false, {}, {}, soda::ReqId::invalid()});
+  ba->links_.emplace(ta, SLink{ta, na, nb, bb->pid_});
   ba->by_name_.emplace(na, ta);
   const BLink tb = bb->blink_ids_.next();
-  bb->links_.emplace(tb, SLink{tb, nb, na, ba->pid_, false, false, false,
-                               false, {}, {}, soda::ReqId::invalid()});
+  bb->links_.emplace(tb, SLink{tb, nb, na, ba->pid_});
   bb->by_name_.emplace(nb, tb);
   co_return std::pair(a.adopt_link(ta), b.adopt_link(tb));
 }

@@ -79,7 +79,7 @@ class SodaBackend final : public Backend {
   void retract_reply_interest(BLink link) override;
   [[nodiscard]] sim::Task<void> destroy(BLink link) override;
   [[nodiscard]] std::uint64_t protocol_messages() const override {
-    return requests_issued_;
+    return stats_.requests_issued;
   }
   [[nodiscard]] std::uint32_t trace_node() const override {
     return node_.value();
@@ -123,6 +123,8 @@ class SodaBackend final : public Backend {
   };
 
   struct SLink {
+    SLink(BLink t, soda::Name mine, soda::Name peer, soda::Pid hint)
+        : token(t), my_name(mine), peer_name(peer), peer_hint(hint) {}
     BLink token;
     soda::Name my_name;
     soda::Name peer_name;
@@ -181,10 +183,9 @@ class SodaBackend final : public Backend {
   void resolve_out(std::uint64_t out_id, SendOutcome outcome);
   void request_cancel(std::uint64_t out_id);
   [[nodiscard]] sim::Task<> issue_cancel(std::uint64_t out_id);
-  [[nodiscard]] sim::Task<> accept_parked_request(BLink token, soda::ReqId req,
-                                                  std::uint64_t trace);
-  [[nodiscard]] sim::Task<> accept_reply(BLink token, soda::ReqId req,
-                                         std::uint64_t trace);
+  // Takes a request or reply put and delivers it on `token`.
+  [[nodiscard]] sim::Task<> accept_msg(BLink token, soda::ReqId req,
+                                       MsgKind kind, std::uint64_t trace);
   [[nodiscard]] sim::Task<> accept_with(soda::ReqId req, Oop code,
                                         std::uint64_t word1);
   [[nodiscard]] sim::Task<> answer_freeze(soda::ReqId req, soda::Pid from);
@@ -212,6 +213,10 @@ class SodaBackend final : public Backend {
   [[nodiscard]] SLink* find(BLink token);
   [[nodiscard]] SLink* find_by_name(soda::Name name);
   void remember_move(soda::Name name, soda::Pid new_owner);
+  // Where a recently-moved end went, if the cache still remembers.
+  [[nodiscard]] std::optional<soda::Pid> moved_owner(soda::Name name) const;
+  // Answers a put for an end we no longer hold: MOVED or DESTROYED.
+  void answer_straggler(const soda::RequestInterrupt& r);
 
   soda::Network* network_;
   SodaDirectory* directory_;
@@ -245,7 +250,6 @@ class SodaBackend final : public Backend {
   std::unordered_map<soda::Name, soda::Pid> async_hints_;
   common::IdAllocator<BLink> blink_ids_;
   std::uint64_t next_out_id_ = 1;
-  std::uint64_t requests_issued_ = 0;
   Stats stats_;
 };
 

@@ -5,16 +5,8 @@
 #include <utility>
 #include <variant>
 
-#include "charlotte/kernel.hpp"
-#include "chrysalis/kernel.hpp"
 #include "common/assert.hpp"
-#include "fault/faulty_medium.hpp"
-#include "fault/invariant_checker.hpp"
 #include "lynx/connect.hpp"
-#include "net/csma_bus.hpp"
-#include "net/token_ring.hpp"
-#include "sim/random.hpp"
-#include "soda/kernel.hpp"
 #include "trace/trace.hpp"
 
 namespace replica {
@@ -34,9 +26,7 @@ const char* to_string(OpType t) {
 struct Group::Core {
   sim::Engine* engine = nullptr;
   Options opt;
-  fault::FaultyMedium* medium = nullptr;  // borrowed from the Group
-  std::function<std::unique_ptr<lynx::Process>(std::string, std::size_t)>
-      spawn_process;
+  load::World* world = nullptr;  // the Group's; owns every process
 
   struct Node {
     Role role = Role::kBackup;
@@ -52,10 +42,10 @@ struct Group::Core {
     std::unique_ptr<sim::WaitList> rewire;
   };
 
-  std::vector<std::unique_ptr<lynx::Process>> replicas;
-  std::vector<std::unique_ptr<lynx::Process>> clients;
+  std::vector<lynx::Process*> replicas;
+  std::vector<lynx::Process*> clients;
   // Pre-restart incarnations, kept so their thread-failure logs survive.
-  std::vector<std::unique_ptr<lynx::Process>> graveyard;
+  std::vector<lynx::Process*> graveyard;
   std::vector<Node> nodes;
   std::vector<Session> sessions;
 
@@ -69,12 +59,6 @@ namespace {
 
 using Core = Group::Core;
 using net::NodeId;
-
-net::CsmaBusParams quiet_bus() {
-  net::CsmaBusParams p;
-  p.broadcast_drop_prob = 0.0;  // loss would come from a plan, not the bus
-  return p;
-}
 
 std::int64_t arg_i64(const lynx::Message& m, std::size_t i) {
   return std::get<std::int64_t>(m.args.at(i));
@@ -343,9 +327,7 @@ void crash_node(Core* g, std::size_t idx) {
   // teardown would have sent die on the wire (Charlotte peers learn of
   // the crash from the distributed kernel's notice instead; SODA peers
   // only ever find out from their own timeouts).
-  if (g->medium != nullptr) {
-    g->medium->crash(NodeId(static_cast<std::uint32_t>(idx)));
-  }
+  g->world->crash(NodeId(static_cast<std::uint32_t>(idx)));
   g->nodes[idx].alive = false;
   g->replicas[idx]->terminate();
 }
@@ -406,17 +388,15 @@ sim::Task<> view_change(Core* g) {
 // A crashed replica comes back empty on the same node and rejoins the
 // current primary's fan-out as a backup (catch-up via "sync").
 sim::Task<> rejoin(Core* g, std::size_t idx) {
-  if (g->medium != nullptr) {
-    g->medium->restart(NodeId(static_cast<std::uint32_t>(idx)));
-  }
-  g->graveyard.push_back(std::move(g->replicas[idx]));
-  g->replicas[idx] = g->spawn_process("rep" + std::to_string(idx), idx);
+  g->world->restart(NodeId(static_cast<std::uint32_t>(idx)));
+  g->graveyard.push_back(g->replicas[idx]);
+  g->replicas[idx] = &g->world->make_process("rep" + std::to_string(idx), idx);
   Core::Node& me = g->nodes[idx];
   me.role = Role::kBackup;
   me.store = Store{};
   me.ps = PrimaryState{};
   g->replicas[idx]->start();
-  lynx::Process* primary = g->replicas[g->primary].get();
+  lynx::Process* primary = g->replicas[g->primary];
   if (primary->terminated()) co_return;  // nobody to rejoin
   auto [pe, be] = co_await lynx::connect_any(*primary, *g->replicas[idx]);
   me.initial_links.push_back(be);
@@ -428,70 +408,36 @@ sim::Task<> rejoin(Core* g, std::size_t idx) {
   g->nodes[g->primary].wake->wake_all();
 }
 
+load::WorldParams world_params(const Options& opt) {
+  load::WorldParams p;
+  p.nodes = opt.replicas + opt.clients;
+  p.fabric.nodes = static_cast<std::uint32_t>(p.nodes);
+  p.form_delay = opt.form_delay;
+  p.form_max_bytes = opt.form_max_bytes;
+  p.bus_seed = opt.seed;
+  // Crashes come from the fault schedule below, through the medium.
+  p.faults = fault::Plan{};
+  p.fault_seed = opt.seed;
+  // Transport acks on: SODA has no absolute crash notice, so a call
+  // into a crashed node must die by retransmission exhaustion
+  // (CrashInterrupt) rather than hang forever (§2, §4.1).
+  p.soda.ack_timeout = sim::msec(10);
+  return p;
+}
+
 }  // namespace
 
 // ---- Group -----------------------------------------------------------
 
 Group::Group(sim::Engine& engine, load::Substrate substrate, Options opt)
-    : engine_(&engine), substrate_(substrate), opt_(opt) {
+    : opt_(opt),
+      core_(std::make_unique<Core>()),
+      world_(engine, substrate, world_params(opt)) {
   RELYNX_ASSERT(opt_.replicas >= 1 && opt_.clients >= 1);
-  const std::size_t total = opt_.replicas + opt_.clients;
-  switch (substrate_) {
-    case load::Substrate::kCharlotte: {
-      ring_ = std::make_unique<net::TokenRing>(engine);
-      medium_ =
-          std::make_unique<fault::FaultyMedium>(engine, *ring_, opt_.seed);
-      invariants_ = std::make_unique<fault::InvariantChecker>(*medium_);
-      charlotte::Costs ccosts;
-      ccosts.form_delay = opt_.form_delay;
-      ccosts.form_max_bytes = opt_.form_max_bytes;
-      cluster_ = std::make_unique<charlotte::Cluster>(engine, total, *medium_,
-                                                      ccosts);
-      // Charlotte's distributed kernel knows the state of every link:
-      // a crash becomes an absolute node-down notice at every peer.
-      medium_->on_crash(
-          [this](net::NodeId n) { cluster_->notify_node_down(n); });
-      break;
-    }
-    case load::Substrate::kSoda: {
-      bus_ = std::make_unique<net::CsmaBus>(engine, sim::Rng(opt_.seed),
-                                            quiet_bus());
-      medium_ = std::make_unique<fault::FaultyMedium>(engine, *bus_, opt_.seed);
-      invariants_ = std::make_unique<fault::InvariantChecker>(*medium_);
-      // Transport acks on: SODA has no absolute crash notice, so a call
-      // into a crashed node must die by retransmission exhaustion
-      // (CrashInterrupt) rather than hang forever (§2, §4.1).
-      soda::Costs costs;
-      costs.ack_timeout = sim::msec(10);
-      costs.form_delay = opt_.form_delay;
-      costs.form_max_bytes = opt_.form_max_bytes;
-      network_ = std::make_unique<soda::Network>(engine, total, *medium_, costs);
-      // SODA peers get no crash notice — a call parked at a node that
-      // dies would hang forever.  The reboot announcement is the lazy
-      // SODA-style resolution: when the node returns, peers learn their
-      // rendezvous there died (calls into the *down* node die earlier,
-      // by transport-ack exhaustion).
-      medium_->on_restart(
-          [this](net::NodeId n) { network_->kernel(n).announce_reboot(); });
-      break;
-    }
-    case load::Substrate::kChrysalis: {
-      // Shared-memory Butterfly: no medium; crash is pure termination.
-      net::ButterflyParams fabric;
-      fabric.nodes = static_cast<std::uint32_t>(total);
-      kernel_ = std::make_unique<chrysalis::Kernel>(engine, fabric);
-      break;
-    }
-  }
-
-  core_ = std::make_unique<Core>();
   Core* g = core_.get();
   g->engine = &engine;
   g->opt = opt_;
-  g->medium = medium_.get();
-  g->spawn_process = [this](std::string name, std::size_t node) {
-    return make_process(std::move(name), node);
-  };
+  g->world = &world_;
   g->nodes.resize(opt_.replicas);
   for (Core::Node& n : g->nodes) {
     n.wake = std::make_unique<sim::WaitList>(engine);
@@ -502,14 +448,14 @@ Group::Group(sim::Engine& engine, load::Substrate substrate, Options opt)
     s.rewire = std::make_unique<sim::WaitList>(engine);
   }
   for (std::size_t i = 0; i < opt_.replicas; ++i) {
-    g->replicas.push_back(make_process("rep" + std::to_string(i), i));
+    g->replicas.push_back(&world_.make_process("rep" + std::to_string(i), i));
   }
   for (std::size_t i = 0; i < opt_.clients; ++i) {
     g->clients.push_back(
-        make_process("cli" + std::to_string(i), opt_.replicas + i));
+        &world_.make_process("cli" + std::to_string(i), opt_.replicas + i));
   }
-  for (auto& p : g->replicas) p->start();
-  for (auto& p : g->clients) p->start();
+  for (lynx::Process* p : g->replicas) p->start();
+  for (lynx::Process* p : g->clients) p->start();
 
   engine.spawn("replica-wire", wire_initial(g));
   engine.run();  // only bootstrap traffic exists yet
@@ -567,37 +513,7 @@ Group::Group(sim::Engine& engine, load::Substrate substrate, Options opt)
   }
 }
 
-Group::~Group() {
-  // Destroy parked frames while processes and kernels are still alive.
-  engine_->shutdown();
-}
-
-std::unique_ptr<lynx::Process> Group::make_process(std::string name,
-                                                   std::size_t node) {
-  const net::NodeId nid(static_cast<std::uint32_t>(node));
-  switch (substrate_) {
-    case load::Substrate::kCharlotte:
-      return std::make_unique<lynx::Process>(
-          *engine_, std::move(name),
-          lynx::make_charlotte_backend(*cluster_, nid),
-          lynx::vax_runtime_costs());
-    case load::Substrate::kSoda:
-      return std::make_unique<lynx::Process>(
-          *engine_, std::move(name),
-          lynx::make_soda_backend(*network_, directory_, nid),
-          lynx::pdp11_runtime_costs());
-    case load::Substrate::kChrysalis: {
-      lynx::ChrysalisBackendParams bp;
-      bp.form_delay = opt_.form_delay;
-      bp.form_max_notices = std::max<std::size_t>(2, opt_.form_max_bytes / 16);
-      return std::make_unique<lynx::Process>(
-          *engine_, std::move(name),
-          lynx::make_chrysalis_backend(*kernel_, nid, bp),
-          lynx::mc68000_runtime_costs());
-    }
-  }
-  return nullptr;
-}
+Group::~Group() = default;
 
 std::uint64_t Group::view() const { return core_->view; }
 std::size_t Group::primary_index() const { return core_->primary; }
@@ -614,13 +530,6 @@ lynx::Process& Group::replica_process(std::size_t i) {
 lynx::Process& Group::client_process(std::size_t i) {
   return *core_->clients.at(i);
 }
-fault::FaultyMedium* Group::medium() { return medium_.get(); }
-
-std::optional<std::string> Group::invariant_violation() const {
-  if (invariants_ == nullptr || invariants_->ok()) return std::nullopt;
-  return invariants_->violations().front();
-}
-
 std::vector<std::string> Group::thread_failures() const {
   std::vector<std::string> out;
   const auto collect = [&out](const auto& procs) {

@@ -26,29 +26,11 @@
 #include <string>
 #include <vector>
 
-#include "load/fleet.hpp"
+#include "load/world.hpp"
 #include "lynx/lynx.hpp"
 #include "sim/engine.hpp"
 #include "sim/stats.hpp"
 #include "sim/sync.hpp"
-
-namespace charlotte {
-class Cluster;
-}
-namespace soda {
-class Network;
-}
-namespace chrysalis {
-class Kernel;
-}
-namespace net {
-class TokenRing;
-class CsmaBus;
-}
-namespace fault {
-class FaultyMedium;
-class InvariantChecker;
-}
 
 namespace replica {
 
@@ -130,12 +112,8 @@ class Group {
   Group(sim::Engine& engine, load::Substrate substrate, Options opt);
   Group(const Group&) = delete;
   Group& operator=(const Group&) = delete;
-  // Shuts the engine down first so parked frames die while the kernels
-  // and processes they reference are still alive.
   ~Group();
 
-  [[nodiscard]] sim::Engine& engine() { return *engine_; }
-  [[nodiscard]] load::Substrate substrate() const { return substrate_; }
   [[nodiscard]] const Options& options() const { return opt_; }
 
   [[nodiscard]] std::uint64_t view() const;
@@ -146,10 +124,11 @@ class Group {
 
   [[nodiscard]] lynx::Process& replica_process(std::size_t i);
   [[nodiscard]] lynx::Process& client_process(std::size_t i);
-  [[nodiscard]] fault::FaultyMedium* medium();
   // First medium-invariant violation, if any (empty when there is no
   // medium, i.e. Chrysalis).
-  [[nodiscard]] std::optional<std::string> invariant_violation() const;
+  [[nodiscard]] std::optional<std::string> invariant_violation() const {
+    return world_.invariant_violation();
+  }
   // Thread failures across every process this group ever ran,
   // including pre-restart incarnations.
   [[nodiscard]] std::vector<std::string> thread_failures() const;
@@ -161,25 +140,12 @@ class Group {
   struct Core;  // shared by the service-thread bodies in replica.cpp
 
  private:
-  [[nodiscard]] std::unique_ptr<lynx::Process> make_process(std::string name,
-                                                            std::size_t node);
-
-  sim::Engine* engine_;
-  load::Substrate substrate_;
   Options opt_;
-
-  // Substrate members, engine-first declaration order so teardown runs
-  // processes -> kernels -> medium (reverse order), mirroring Fleet.
-  std::unique_ptr<net::TokenRing> ring_;
-  std::unique_ptr<net::CsmaBus> bus_;
-  std::unique_ptr<fault::FaultyMedium> medium_;
-  std::unique_ptr<fault::InvariantChecker> invariants_;
-  std::unique_ptr<charlotte::Cluster> cluster_;
-  lynx::SodaDirectory directory_;
-  std::unique_ptr<soda::Network> network_;
-  std::unique_ptr<chrysalis::Kernel> kernel_;
-
-  std::unique_ptr<Core> core_;  // holds all processes and mutable state
+  // Mutable group state.  Declared before the world so it outlives
+  // ~World's engine shutdown: parked frames still reference its wait
+  // lists while they unwind.
+  std::unique_ptr<Core> core_;
+  load::World world_;  // owns every process, pre-restart ones included
 };
 
 }  // namespace replica

@@ -16,117 +16,52 @@
 #include <string>
 #include <vector>
 
-#include "charlotte/kernel.hpp"
-#include "chrysalis/kernel.hpp"
-#include "fault/faulty_medium.hpp"
-#include "fault/invariant_checker.hpp"
-#include "load/fleet.hpp"
+#include "load/world.hpp"
 #include "lynx/connect.hpp"
 #include "lynx/lynx.hpp"
-#include "net/csma_bus.hpp"
-#include "net/token_ring.hpp"
 #include "sim/engine.hpp"
-#include "soda/kernel.hpp"
 
 namespace fault {
 namespace {
 
 using net::NodeId;
 
-// A two-node world (server node 0, client node 1) with the same
-// crash-semantics wiring as replica::Group: Charlotte crashes fan out
-// as node-down notices, SODA runs transport acks (calls into a dead
-// node die by exhaustion) and announces reboots (calls parked at the
-// dead node die when it returns), Chrysalis has no medium at all.
+// A two-node world (server node 0, client node 1) under an empty fault
+// plan, so load::World wires crash semantics: Charlotte crashes fan out
+// as node-down notices, SODA announces reboots (calls parked at the
+// dead node die when it returns) and runs transport acks here (calls
+// into a dead node die by exhaustion), Chrysalis has no medium at all.
 struct World {
   sim::Engine engine;
-  std::unique_ptr<net::TokenRing> ring;
-  std::unique_ptr<net::CsmaBus> bus;
-  std::unique_ptr<FaultyMedium> medium;
-  std::unique_ptr<InvariantChecker> invariants;
-  std::unique_ptr<charlotte::Cluster> cluster;
-  lynx::SodaDirectory directory;
-  std::unique_ptr<soda::Network> network;
-  std::unique_ptr<chrysalis::Kernel> kernel;
-  load::Substrate substrate;
-  // Every incarnation ever started, so teardown outlives the engine.
-  std::vector<std::unique_ptr<lynx::Process>> procs;
+  load::World world;
 
-  explicit World(load::Substrate s) : substrate(s) {
-    switch (s) {
-      case load::Substrate::kCharlotte: {
-        ring = std::make_unique<net::TokenRing>(engine);
-        medium = std::make_unique<FaultyMedium>(engine, *ring, 1);
-        invariants = std::make_unique<InvariantChecker>(*medium);
-        cluster = std::make_unique<charlotte::Cluster>(engine, 2, *medium);
-        medium->on_crash(
-            [this](NodeId n) { cluster->notify_node_down(n); });
-        break;
-      }
-      case load::Substrate::kSoda: {
-        net::CsmaBusParams p;
-        p.broadcast_drop_prob = 0.0;
-        bus = std::make_unique<net::CsmaBus>(engine, sim::Rng(1), p);
-        medium = std::make_unique<FaultyMedium>(engine, *bus, 1);
-        invariants = std::make_unique<InvariantChecker>(*medium);
-        soda::Costs costs;
-        costs.ack_timeout = sim::msec(10);
-        network = std::make_unique<soda::Network>(engine, 2, *medium, costs);
-        medium->on_restart(
-            [this](NodeId n) { network->kernel(n).announce_reboot(); });
-        break;
-      }
-      case load::Substrate::kChrysalis: {
-        kernel = std::make_unique<chrysalis::Kernel>(engine,
-                                                     net::ButterflyParams{});
-        break;
-      }
-    }
+  explicit World(load::Substrate s) : world(engine, s, params()) {}
+  static load::WorldParams params() {
+    load::WorldParams p;
+    p.bus_seed = 1;
+    p.faults = Plan{};
+    p.fault_seed = 1;
+    p.soda.ack_timeout = sim::msec(10);
+    return p;
   }
-
-  ~World() { engine.shutdown(); }
 
   lynx::Process* add_process(std::string name, std::uint32_t node) {
-    const NodeId nid(node);
-    std::unique_ptr<lynx::Process> p;
-    switch (substrate) {
-      case load::Substrate::kCharlotte:
-        p = std::make_unique<lynx::Process>(
-            engine, std::move(name),
-            lynx::make_charlotte_backend(*cluster, nid),
-            lynx::vax_runtime_costs());
-        break;
-      case load::Substrate::kSoda:
-        p = std::make_unique<lynx::Process>(
-            engine, std::move(name),
-            lynx::make_soda_backend(*network, directory, nid),
-            lynx::pdp11_runtime_costs());
-        break;
-      case load::Substrate::kChrysalis:
-        p = std::make_unique<lynx::Process>(
-            engine, std::move(name),
-            lynx::make_chrysalis_backend(*kernel, nid),
-            lynx::mc68000_runtime_costs());
-        break;
-    }
-    p->start();
-    procs.push_back(std::move(p));
-    return procs.back().get();
+    lynx::Process& p = world.make_process(std::move(name), node);
+    p.start();
+    return &p;
   }
 
-  // Crash semantics borrowed from replica::Group: medium first (a dead
-  // node cannot transmit its teardown), then process termination.
+  // Medium first (a dead node cannot transmit its teardown), then
+  // process termination.
   void crash(std::uint32_t node, lynx::Process* victim) {
-    if (medium != nullptr) medium->crash(NodeId(node));
+    world.crash(NodeId(node));
     victim->terminate();
   }
 
-  void restart(std::uint32_t node) {
-    if (medium != nullptr) medium->restart(NodeId(node));
-  }
+  void restart(std::uint32_t node) { world.restart(NodeId(node)); }
 
   [[nodiscard]] bool invariants_ok() const {
-    return invariants == nullptr || invariants->ok();
+    return !world.invariant_violation().has_value();
   }
 };
 

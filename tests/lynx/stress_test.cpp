@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "../support/co_check.hpp"
+#include "load/world.hpp"
 #include "lynx/lynx.hpp"
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
@@ -16,46 +17,20 @@
 namespace lynx {
 namespace {
 
-using net::NodeId;
+using load::Substrate;
+using load::to_string;
 
-enum class Substrate { kCharlotte, kSoda, kChrysalis };
-
-const char* to_string(Substrate s) {
-  switch (s) {
-    case Substrate::kCharlotte: return "charlotte";
-    case Substrate::kSoda: return "soda";
-    case Substrate::kChrysalis: return "chrysalis";
-  }
-  return "?";
-}
-
-// A polymorphic world: one server + K clients on the chosen substrate.
+// One server (node 0) + K clients on the chosen substrate.
 struct MultiWorld {
   MultiWorld(Substrate sub, std::size_t n_clients, std::uint64_t seed)
-      : substrate(sub) {
-    switch (sub) {
-      case Substrate::kCharlotte:
-        charlotte_cluster =
-            std::make_unique<charlotte::Cluster>(engine, n_clients + 1);
-        break;
-      case Substrate::kSoda: {
-        net::CsmaBusParams p;
-        p.broadcast_drop_prob = 0.0;
-        soda_network = std::make_unique<soda::Network>(
-            engine, n_clients + 1, sim::Rng(seed), p);
-        break;
-      }
-      case Substrate::kChrysalis:
-        chrysalis_kernel = std::make_unique<chrysalis::Kernel>(engine);
-        break;
-    }
-    server = make_process("server", 0);
+      : world(engine, sub, params(n_clients, seed)),
+        server(&world.make_process("server", 0)) {
     for (std::size_t i = 0; i < n_clients; ++i) {
       clients.push_back(
-          make_process("client" + std::to_string(i), i + 1));
+          &world.make_process("client" + std::to_string(i), i + 1));
     }
     server->start();
-    for (auto& c : clients) c->start();
+    for (Process* c : clients) c->start();
 
     server_ends.resize(n_clients);
     client_ends.resize(n_clients);
@@ -65,62 +40,23 @@ struct MultiWorld {
     engine.run();
   }
 
-  std::unique_ptr<Process> make_process(std::string name, std::size_t node) {
-    const net::NodeId nid(static_cast<std::uint32_t>(node));
-    switch (substrate) {
-      case Substrate::kCharlotte:
-        return std::make_unique<Process>(
-            engine, std::move(name),
-            make_charlotte_backend(*charlotte_cluster, nid),
-            vax_runtime_costs());
-      case Substrate::kSoda:
-        return std::make_unique<Process>(
-            engine, std::move(name),
-            make_soda_backend(*soda_network, directory, nid),
-            pdp11_runtime_costs());
-      case Substrate::kChrysalis:
-        return std::make_unique<Process>(
-            engine, std::move(name),
-            make_chrysalis_backend(*chrysalis_kernel, nid),
-            mc68000_runtime_costs());
-    }
-    return nullptr;
+  static load::WorldParams params(std::size_t n_clients, std::uint64_t seed) {
+    load::WorldParams p;
+    p.nodes = n_clients + 1;
+    p.bus_seed = seed;
+    return p;
   }
 
   static sim::Task<> wire(MultiWorld* w, std::size_t i) {
-    switch (w->substrate) {
-      case Substrate::kCharlotte: {
-        auto [a, b] = co_await CharlotteBackend::connect(*w->server,
-                                                         *w->clients[i]);
-        w->server_ends[i] = a;
-        w->client_ends[i] = b;
-        co_return;
-      }
-      case Substrate::kSoda: {
-        auto [a, b] =
-            co_await SodaBackend::connect(*w->server, *w->clients[i]);
-        w->server_ends[i] = a;
-        w->client_ends[i] = b;
-        co_return;
-      }
-      case Substrate::kChrysalis: {
-        auto [a, b] =
-            co_await ChrysalisBackend::connect(*w->server, *w->clients[i]);
-        w->server_ends[i] = a;
-        w->client_ends[i] = b;
-        co_return;
-      }
-    }
+    auto [a, b] = co_await connect_any(*w->server, *w->clients[i]);
+    w->server_ends[i] = a;
+    w->client_ends[i] = b;
   }
 
-  Substrate substrate;
   sim::Engine engine;
-  SodaDirectory directory;
-  std::unique_ptr<charlotte::Cluster> charlotte_cluster;
-  std::unique_ptr<soda::Network> soda_network;
-  std::unique_ptr<chrysalis::Kernel> chrysalis_kernel;
-  std::unique_ptr<Process> server;
-  std::vector<std::unique_ptr<Process>> clients;
+  load::World world;
+  Process* server;
+  std::vector<Process*> clients;
   std::vector<LinkHandle> server_ends;
   std::vector<LinkHandle> client_ends;
 };
@@ -163,8 +99,16 @@ sim::Task<> checksum_client(ThreadCtx& ctx, LinkHandle link, int ops,
   }
 }
 
+// gtest names each case after its parameter's bytes, so the substrate
+// is held four bytes wide: padding after a one-byte enum is
+// uninitialised, and the names would change from run to run.
 struct StressParam {
-  Substrate substrate;
+  StressParam(Substrate s, std::uint64_t sd)
+      : substrate_id(static_cast<std::uint32_t>(s)), seed(sd) {}
+  [[nodiscard]] Substrate substrate() const {
+    return static_cast<Substrate>(substrate_id);
+  }
+  std::uint32_t substrate_id;
   std::uint64_t seed;
 };
 
@@ -174,7 +118,7 @@ TEST_P(StressTest, RandomizedChecksumWorkloadCompletes) {
   const StressParam p = GetParam();
   constexpr int kClients = 3;
   constexpr int kOpsPerClient = 4;
-  MultiWorld w(p.substrate, kClients, p.seed);
+  MultiWorld w(p.substrate(), kClients, p.seed);
   int verified = 0;
   w.server->spawn_thread("srv", [&](ThreadCtx& ctx) {
     return checksum_server(ctx, w.server_ends, kClients * kOpsPerClient);
@@ -190,11 +134,11 @@ TEST_P(StressTest, RandomizedChecksumWorkloadCompletes) {
   w.engine.run();
   std::string diag;
   for (const auto& f : w.server->thread_failures()) diag += f + "; ";
-  for (const auto& c : w.clients) {
+  for (const Process* c : w.clients) {
     for (const auto& f : c->thread_failures()) diag += f + "; ";
   }
   EXPECT_EQ(verified, kClients * kOpsPerClient)
-      << to_string(p.substrate) << " seed " << p.seed << " :: " << diag;
+      << to_string(p.substrate()) << " seed " << p.seed << " :: " << diag;
   EXPECT_TRUE(w.engine.process_failures().empty());
   EXPECT_TRUE(w.server->thread_failures().empty()) << diag;
 }
@@ -202,7 +146,7 @@ TEST_P(StressTest, RandomizedChecksumWorkloadCompletes) {
 TEST_P(StressTest, WorkloadIsDeterministic) {
   const StressParam p = GetParam();
   auto run = [&] {
-    MultiWorld w(p.substrate, 2, p.seed);
+    MultiWorld w(p.substrate(), 2, p.seed);
     int verified = 0;
     w.server->spawn_thread("srv", [&](ThreadCtx& ctx) {
       return checksum_server(ctx, w.server_ends, 4);
@@ -222,7 +166,7 @@ TEST_P(StressTest, WorkloadIsDeterministic) {
 }
 
 std::string param_name(const ::testing::TestParamInfo<StressParam>& info) {
-  return std::string(to_string(info.param.substrate)) + "_seed" +
+  return std::string(to_string(info.param.substrate())) + "_seed" +
          std::to_string(info.param.seed);
 }
 
@@ -275,7 +219,7 @@ class ChurnTest : public ::testing::TestWithParam<StressParam> {};
 
 TEST_P(ChurnTest, LinkLifecycleChurnSurvives) {
   const StressParam p = GetParam();
-  MultiWorld w(p.substrate, 1, p.seed);
+  MultiWorld w(p.substrate(), 1, p.seed);
   constexpr int kRounds = 5;
   int completed = 0;
   w.server->spawn_thread("srv", [&](ThreadCtx& ctx) {
@@ -285,7 +229,7 @@ TEST_P(ChurnTest, LinkLifecycleChurnSurvives) {
     return churn_client(ctx, w.client_ends[0], kRounds, &completed);
   });
   w.engine.run();
-  EXPECT_EQ(completed, kRounds) << to_string(p.substrate);
+  EXPECT_EQ(completed, kRounds) << to_string(p.substrate());
   EXPECT_TRUE(w.engine.process_failures().empty());
 }
 
@@ -302,7 +246,7 @@ class CrashTest : public ::testing::TestWithParam<StressParam> {};
 
 TEST_P(CrashTest, ServerCrashSurfacesAsExceptionEverywhere) {
   const StressParam p = GetParam();
-  MultiWorld w(p.substrate, 2, p.seed);
+  MultiWorld w(p.substrate(), 2, p.seed);
   std::vector<std::string> outcomes;
   w.server->spawn_thread("srv", [&](ThreadCtx& ctx) {
     return checksum_server(ctx, w.server_ends, 1000);  // never finishes
@@ -331,7 +275,7 @@ TEST_P(CrashTest, ServerCrashSurfacesAsExceptionEverywhere) {
   // kill the server process mid-burst
   w.engine.schedule(sim::msec(250), [&] { w.server->terminate(); });
   w.engine.run_until(sim::sec(30));
-  ASSERT_EQ(outcomes.size(), 2u) << to_string(p.substrate);
+  ASSERT_EQ(outcomes.size(), 2u) << to_string(p.substrate());
   for (const auto& o : outcomes) EXPECT_EQ(o, "link-destroyed");
 }
 
