@@ -24,12 +24,18 @@
 //                  runtimes) driven at a fixed offered rate.  This is
 //                  the acceptance workload: events/wall-second here is
 //                  what bounds bench_capacity and the explorer sweeps.
+//   * recv-dead-ends-{0,4096} — a closed-loop client calling one
+//                  Chrysalis server that also holds 0 or 4096 open
+//                  request queues whose peers are destroyed: what a
+//                  receive() costs per end the process holds.
 //
 // Flags (bench::init): --json-out, --seed, --smoke for the CI-sized
 // version, and --baseline=PATH to gate each metric against its
 // "<metric>_floor" in events per second (bench/baselines/sim.json):
 // exits 1 when any measured metric drops below its floor or has none,
 // so CI catches an engine slowdown in the change that introduces it.
+// recv-dead-ends is gated instead on the ratio of its two rates
+// ("recv-dead-ends_ratio_floor"), which does not drift with host speed.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -225,10 +231,90 @@ Metric run_fanin(load::Substrate sub, bool smoke) {
   return m;
 }
 
+// ---- recv-dead-ends: receive() past peer-destroyed open ends -------------
+
+// One Chrysalis server, built through load::World, holds one live link
+// and `dead` more whose client ends the client destroys before it
+// starts calling.  The server keeps every request queue open, so a
+// receive() that walked its ends would pay O(dead) per request.  Only
+// the client's call loop is timed: set-up grows with `dead`.
+struct DeadEnds {
+  std::vector<lynx::LinkHandle> server_ends;  // [0] is the live link
+  std::vector<lynx::LinkHandle> client_ends;
+  int calls = 0;
+  std::uint64_t events = 0;  // fired during the call loop
+  double wall_s = 0.0;
+  std::uint64_t sink = 0;
+};
+
+sim::Task<> dead_ends_wire(lynx::Process* server, lynx::Process* client,
+                           std::size_t links, DeadEnds* d) {
+  for (std::size_t i = 0; i < links; ++i) {
+    auto [se, ce] = co_await lynx::connect_any(*server, *client);
+    d->server_ends.push_back(se);
+    d->client_ends.push_back(ce);
+  }
+}
+
+sim::Task<> dead_ends_server(lynx::ThreadCtx& ctx, DeadEnds* d) {
+  for (lynx::LinkHandle h : d->server_ends) ctx.enable_requests(h);
+  try {
+    for (;;) {
+      lynx::Incoming in = co_await ctx.receive();
+      lynx::Message rep;
+      rep.args = in.msg.args;
+      co_await ctx.reply(in, std::move(rep));
+    }
+  } catch (const lynx::LynxError&) {
+    // The client exited: every open request queue is destroyed.
+  }
+}
+
+sim::Task<> dead_ends_client(lynx::ThreadCtx& ctx, DeadEnds* d) {
+  for (std::size_t i = 1; i < d->client_ends.size(); ++i) {
+    co_await ctx.destroy(d->client_ends[i]);
+  }
+  const std::uint64_t events0 = ctx.engine().events_fired();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < d->calls; ++i) {
+    lynx::Message req = lynx::make_message("echo", {std::int64_t{i}});
+    lynx::Message rep = co_await ctx.call(d->client_ends[0], std::move(req));
+    d->sink +=
+        static_cast<std::uint64_t>(std::get<std::int64_t>(rep.args.at(0)));
+  }
+  d->wall_s = wall_seconds_since(t0);
+  d->events = ctx.engine().events_fired() - events0;
+}
+
+Metric run_dead_ends(std::size_t dead, int calls) {
+  sim::Engine e;
+  load::World world(e, load::Substrate::kChrysalis);
+  lynx::Process& server = world.make_process("server", 0);
+  lynx::Process& client = world.make_process("client", 1);
+  server.start();
+  client.start();
+  DeadEnds d;
+  d.calls = calls;
+  e.spawn("wire", dead_ends_wire(&server, &client, dead + 1, &d));
+  e.run();
+  server.spawn_thread("serve", [&d](lynx::ThreadCtx& ctx) {
+    return dead_ends_server(ctx, &d);
+  });
+  client.spawn_thread("call", [&d](lynx::ThreadCtx& ctx) {
+    return dead_ends_client(ctx, &d);
+  });
+  e.run();
+  const auto n = static_cast<std::uint64_t>(calls);
+  RELYNX_ASSERT_MSG(d.sink == n * (n - 1) / 2,
+                    "recv-dead-ends: every call must be answered");
+  return {"recv-dead-ends-" + std::to_string(dead), d.events, d.wall_s,
+          d.sink};
+}
+
 // ---- reporting ------------------------------------------------------------
 
 void report(const Metric& m) {
-  std::printf("%-16s %14llu events %10.3f s %16.0f events/s\n",
+  std::printf("%-20s %14llu events %10.3f s %16.0f events/s\n",
               m.name.c_str(), static_cast<unsigned long long>(m.events),
               m.wall_s, m.events_per_sec());
   json()
@@ -247,7 +333,7 @@ int main(int argc, char** argv) {
   const bool smoke = bench::smoke();
 
   table_header("E17: simulator speed (simulated events per wall-second)");
-  std::printf("%-16s %21s %12s %25s\n", "workload", "fired", "wall", "rate");
+  std::printf("%-20s %21s %12s %25s\n", "workload", "fired", "wall", "rate");
 
   // Two reps per metric, best-of: the first rep also pages everything
   // in, so best-of-2 is a cheap warm-cache number without a separate
@@ -255,6 +341,7 @@ int main(int argc, char** argv) {
   const int reps = smoke ? 2 : 3;
   const int storm_chains = 256;
   const int storm_hops = smoke ? 4000 : 20000;
+  const int calls = smoke ? 5000 : 20000;
   std::vector<Metric> metrics;
   auto best_of = [&](auto fn) {
     Metric best = fn();
@@ -277,7 +364,21 @@ int main(int argc, char** argv) {
   for (load::Substrate sub : load::all_substrates()) {
     metrics.push_back(best_of([&] { return run_fanin(sub, smoke); }));
   }
+  const Metric live_only = best_of([&] { return run_dead_ends(0, calls); });
+  const Metric with_dead = best_of([&] { return run_dead_ends(4096, calls); });
   for (const Metric& m : metrics) report(m);
+  report(live_only);
+  report(with_dead);
+  // Rate with 4096 dead ends over the rate without: near 1 when
+  // receive() does not walk them.
+  const double dead_ends_ratio =
+      with_dead.events_per_sec() / live_only.events_per_sec();
+  std::printf("%-20s %60.3f\n", "recv-dead-ends 4096/0", dead_ends_ratio);
+  json()
+      .field("kind", "sim_speed_ratio")
+      .field("metric", "recv-dead-ends")
+      .field("ratio", dead_ends_ratio)
+      .emit();
 
   // Each metric is gated against "<name>_floor" (events per
   // wall-second) in every --baseline file.  Floors sit well under a
@@ -292,6 +393,10 @@ int main(int argc, char** argv) {
                      Better::kHigher, 0.0) &&
                 gate_ok;
     }
+    gate_ok = gate("recv-dead-ends", "ratio", dead_ends_ratio,
+                   json_number_field(text, "recv-dead-ends_ratio_floor"),
+                   Better::kHigher, 0.0) &&
+              gate_ok;
   }
   return gate_ok ? 0 : 1;
 }

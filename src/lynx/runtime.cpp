@@ -1,7 +1,5 @@
 #include "lynx/runtime.hpp"
 
-#include <algorithm>
-
 #include "trace/trace.hpp"
 
 namespace lynx {
@@ -55,18 +53,22 @@ LinkHandle Process::adopt_link(BLink blink) {
   ls.handle = h;
   ls.blink = blink;
   ls.call_serializer = std::make_unique<sim::WaitList>(*engine_);
-  links_.emplace(h, std::move(ls));
+  fair_.adopt(links_.emplace(h, std::move(ls)).first->second);
   by_blink_.emplace(blink, h);
-  fair_order_.push_back(h);
   return h;
 }
 
 void Process::drop_link(LinkHandle h) {
   auto it = links_.find(h);
   if (it == links_.end()) return;
+  fair_.drop(it->second);
   by_blink_.erase(it->second.blink);
   links_.erase(it);
-  std::erase(fair_order_, h);
+}
+
+void Process::sync_fair(LinkState& ls) {
+  fair_.update(ls, ls.open_requests, !ls.destroyed,
+               ls.open_requests && !ls.request_q.empty());
 }
 
 void Process::refresh_interest(LinkState& ls) {
@@ -152,6 +154,7 @@ void Process::terminate() {
   terminated_ = true;
   for (auto& [h, ls] : links_) {
     ls.destroyed = true;
+    sync_fair(ls);
     if (ls.active_call != nullptr) {
       ls.active_call->failed = true;
       ls.active_call->error = ErrorKind::kLinkDestroyed;
@@ -209,6 +212,7 @@ void Process::on_backend_event(BackendEvent ev) {
           return;
         }
         ls.request_q.push_back(std::move(d));
+        sync_fair(ls);
         receive_waiters_->wake_all();
         return;
       }
@@ -234,6 +238,7 @@ void Process::on_backend_event(BackendEvent ev) {
 
     case BackendEvent::Kind::kLinkDestroyed: {
       ls.destroyed = true;
+      sync_fair(ls);
       // Death notice surface: a later kLinkDestroyed rpc.error on this
       // process is explained by this instant (a = backend link token).
       if (auto* rec = trace::get(*engine_)) {
@@ -316,8 +321,10 @@ sim::Task<LocalLinkPair> ThreadCtx::new_link() {
 
 sim::Task<void> ThreadCtx::destroy(LinkHandle link) {
   check_abort();
-  Process::LinkState& ls = proc_->require_link(link);
+  (void)proc_->require_link(link);
   co_await engine().sleep(proc_->costs_.per_operation);
+  // A sibling may have destroyed or moved the end during the sleep.
+  const Process::LinkState& ls = proc_->require_link(link);
   if (!ls.destroyed) {
     co_await proc_->backend_->destroy(ls.blink);
   }
@@ -330,12 +337,14 @@ void ThreadCtx::enable_requests(LinkHandle link) {
     throw LynxError(ErrorKind::kLinkDestroyed, "enable on destroyed link");
   }
   ls.open_requests = true;
+  proc_->sync_fair(ls);
   proc_->refresh_interest(ls);
 }
 
 void ThreadCtx::disable_requests(LinkHandle link) {
   Process::LinkState& ls = proc_->require_link(link);
   ls.open_requests = false;
+  proc_->sync_fair(ls);
   if (!ls.destroyed) proc_->refresh_interest(ls);
 }
 
@@ -444,7 +453,10 @@ sim::Task<Message> ThreadCtx::call(LinkHandle link, Message request) {
     }
     case SendResult::kLinkDestroyed: {
       auto* cur = p.find_link(link);
-      if (cur != nullptr) cur->destroyed = true;
+      if (cur != nullptr) {
+        cur->destroyed = true;
+        p.sync_fair(*cur);
+      }
       // A reply already queued for this call proves the request WAS
       // delivered: the peer answered it and only the delivery ack (or
       // the link itself, afterwards) was lost.  Hand the caller its
@@ -524,21 +536,12 @@ sim::Task<Incoming> ThreadCtx::receive() {
       throw_traced(trace::get(engine()), p.backend_->trace_node(), 0,
                    ErrorKind::kLinkDestroyed, "process terminated");
     }
-    // Fair scan: rotate over links, starting past the last served one.
-    const std::size_t n = p.fair_order_.size();
-    bool any_open_alive = false;
-    bool any_open = false;
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t idx = (p.fair_cursor_ + k) % n;
-      Process::LinkState* ls = p.find_link(p.fair_order_[idx]);
-      if (ls == nullptr || !ls->open_requests) continue;
-      any_open = true;
-      if (!ls->destroyed) any_open_alive = true;
-      if (ls->request_q.empty()) continue;
-
+    // Fair pick: the first ready end at or past the cursor (FairIndex).
+    if (Process::LinkState* ls = p.fair_.next_ready()) {
       Process::Delivered d = std::move(ls->request_q.front());
       ls->request_q.pop_front();
-      p.fair_cursor_ = idx + 1;
+      p.sync_fair(*ls);
+      const LinkHandle link = ls->handle;
       {
         trace::SpanScope scatter(trace::get(engine()),
                                  p.backend_->trace_node(), "runtime",
@@ -547,13 +550,15 @@ sim::Task<Incoming> ThreadCtx::receive() {
             p.costs_.per_operation +
             p.costs_.per_byte * static_cast<sim::Duration>(d.raw_body.size()));
       }
+      // A sibling may have destroyed the end during the sleep; the
+      // obligation still stands, and reply() reports the dead link.
       const std::uint64_t token = p.next_token_++;
-      p.owed_[token] = ls->handle;
-      ++ls->owed_replies;
+      p.owed_[token] = link;
+      if (auto* cur = p.find_link(link)) ++cur->owed_replies;
       ++p.ops_;
-      co_return Incoming{ls->handle, std::move(d.msg), token, d.trace};
+      co_return Incoming{link, std::move(d.msg), token, d.trace};
     }
-    if (any_open && !any_open_alive) {
+    if (p.fair_.all_open_dead()) {
       throw_traced(trace::get(engine()), p.backend_->trace_node(), 0,
                    ErrorKind::kLinkDestroyed,
                    "all open request queues destroyed");
@@ -588,6 +593,13 @@ sim::Task<void> ThreadCtx::reply(const Incoming& incoming, Message reply_msg) {
       p.costs_.per_operation +
       p.costs_.per_byte * static_cast<sim::Duration>(ser.body.size()));
   gather_span.end();
+  // A sibling may have destroyed the end during the sleep.
+  ls = p.find_link(link);
+  if (ls == nullptr) {
+    p.owed_.erase(incoming.token);
+    throw_traced(rec, tnode, incoming.trace, ErrorKind::kLinkDestroyed,
+                 "reply on destroyed link");
+  }
   std::vector<BLink> blinks =
       p.check_and_stage_enclosures(reply_msg, link, ser.enclosures);
 

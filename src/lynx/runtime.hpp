@@ -28,6 +28,7 @@
 
 #include "lynx/backend.hpp"
 #include "lynx/errors.hpp"
+#include "lynx/fair_index.hpp"
 #include "lynx/message.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
@@ -159,6 +160,7 @@ class Process {
     int sends_in_flight = 0;
     int stale_replies_expected = 0;  // replies to aborted callers
     bool call_claimed = false;       // a caller holds the link (pre-send)
+    std::uint32_t fair_slot = 0;     // owned by Process::fair_
   };
   struct ThreadState {
     ThreadId id;
@@ -176,6 +178,9 @@ class Process {
   [[nodiscard]] LinkState& require_link(LinkHandle h);
   [[nodiscard]] LinkState* find_link(LinkHandle h);
   void refresh_interest(LinkState& ls);
+  // Re-derives the end's bits in fair_; called after every change to
+  // its open_requests, destroyed or request_q.
+  void sync_fair(LinkState& ls);
   [[nodiscard]] sim::Task<> run_thread_body(ThreadId tid, ThreadBody body);
   void drop_link(LinkHandle h);
   [[nodiscard]] std::vector<BLink> check_and_stage_enclosures(
@@ -199,8 +204,7 @@ class Process {
   std::vector<std::string> thread_failures_;
 
   std::unique_ptr<sim::WaitList> receive_waiters_;
-  std::vector<LinkHandle> fair_order_;  // round-robin cursor base
-  std::size_t fair_cursor_ = 0;
+  FairIndex<LinkState> fair_;  // round-robin order of the ends
   std::unordered_set<std::string> declared_ops_;
   std::uint64_t next_token_ = 1;
   std::unordered_map<std::uint64_t, LinkHandle> owed_;

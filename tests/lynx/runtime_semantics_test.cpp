@@ -23,6 +23,10 @@ struct World {
   LinkHandle server_end;
   LinkHandle client_end;
 
+  // Frames still parked at the end of a test unwind while the processes
+  // they reference are alive.
+  ~World() { engine.shutdown(); }
+
   void boot() {
     server.start();
     client.start();
@@ -313,6 +317,274 @@ TEST(LynxSemantics, AbortWakesBlockedReceiver) {
   w.engine.run();
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0], "caught:aborted");
+}
+
+// ---- a sibling destroying the end mid-operation -----------------------------
+//
+// receive() sleeps in its scatter and reply() in its gather with the end
+// already chosen; a sibling thread may destroy and drop that end in the
+// meantime.  Each sweep slides the sibling's destroy across those
+// windows.  Reading the dropped end's state would be a use-after-free
+// (which the ASan/UBSan build reports); instead the obligation stands
+// and reply() feels kLinkDestroyed.
+
+struct Race {
+  sim::Time received = -1;  // receive() returned
+  sim::Time dropped = -1;   // the sibling's destroy() returned
+  std::string reply;        // how reply() ended
+  std::string destroy;      // how the sibling's destroy() ended
+};
+
+sim::Task<> racing_server(ThreadCtx& c, LinkHandle l, Race* r) {
+  c.enable_requests(l);
+  Incoming in = co_await c.receive();
+  r->received = c.engine().now();
+  // Named, not a temporary: gcc 12 mishandles a temporary passed by
+  // value to a coroutine called inside co_await when the callee throws.
+  Message rep;
+  try {
+    co_await c.reply(in, std::move(rep));
+    r->reply = "ok";
+  } catch (const LynxError& e) {
+    r->reply = to_string(e.kind());
+  }
+}
+
+sim::Task<> sibling_destroyer(ThreadCtx& c, LinkHandle l, sim::Duration at,
+                              Race* r) {
+  co_await c.delay(at);
+  try {
+    co_await c.destroy(l);
+    r->dropped = c.engine().now();
+    r->destroy = "ok";
+  } catch (const LynxError& e) {
+    r->destroy = to_string(e.kind());
+  }
+}
+
+sim::Task<> tolerant_caller(ThreadCtx& c, LinkHandle l) {
+  Message req = make_message("op", {});
+  try {
+    (void)co_await c.call(l, std::move(req));
+  } catch (const LynxError&) {
+    // the server's end may die under the call
+  }
+}
+
+TEST(LynxSemantics, SiblingDestroyDuringScatterOrGatherIsSafe) {
+  const RuntimeCosts costs{};
+  int in_scatter = 0;
+  int in_gather = 0;
+  for (sim::Duration at = 0; at <= sim::msec(12); at += sim::usec(50)) {
+    World w;
+    w.boot();
+    Race r;
+    w.server.spawn_thread("srv", [&](ThreadCtx& ctx) {
+      return racing_server(ctx, w.server_end, &r);
+    });
+    w.server.spawn_thread("sibling", [&](ThreadCtx& ctx) {
+      return sibling_destroyer(ctx, w.server_end, at, &r);
+    });
+    w.client.spawn_thread("cli", [&](ThreadCtx& ctx) {
+      return tolerant_caller(ctx, w.client_end);
+    });
+    w.engine.run();
+    EXPECT_TRUE(w.server.thread_failures().empty()) << "at " << at;
+    EXPECT_EQ(r.destroy, "ok") << "at " << at;
+    if (r.received < 0) continue;  // dropped before the request was picked
+    if (r.dropped < r.received) {
+      ++in_scatter;
+      EXPECT_EQ(r.reply, "link-destroyed") << "at " << at;
+    } else if (r.dropped > r.received &&
+               r.dropped < r.received + costs.per_operation) {
+      ++in_gather;
+      EXPECT_EQ(r.reply, "link-destroyed") << "at " << at;
+    }
+  }
+  EXPECT_GT(in_scatter, 0);
+  EXPECT_GT(in_gather, 0);
+}
+
+// Two siblings destroy the same end; the later one's sleep spans the
+// earlier one's drop.
+TEST(LynxSemantics, ConcurrentDestroysOfOneEndAreSafe) {
+  for (sim::Duration lag = 0; lag <= sim::msec(3); lag += sim::usec(25)) {
+    World w;
+    w.boot();
+    Race first;
+    Race second;
+    w.server.spawn_thread("first", [&](ThreadCtx& ctx) {
+      return sibling_destroyer(ctx, w.server_end, 0, &first);
+    });
+    w.server.spawn_thread("second", [&](ThreadCtx& ctx) {
+      return sibling_destroyer(ctx, w.server_end, lag, &second);
+    });
+    w.engine.run();
+    EXPECT_EQ(first.destroy, "ok") << "lag " << lag;
+    // The later destroy either raced into the backend before the drop
+    // (a no-op there) or finds the end gone.
+    EXPECT_TRUE(second.destroy == "ok" || second.destroy == "invalid-link")
+        << "lag " << lag << ": " << second.destroy;
+  }
+}
+
+// ---- peer-destroyed open ends -----------------------------------------------
+//
+// An end whose peer is destroyed stays in its owner's table, request
+// queue open, until the owner destroys it.  receive() must keep serving
+// live ends past any number of them, deliver what their queues still
+// hold, and fail only once every open queue is dead.
+
+// Makes `n` open request queues whose peers are destroyed.
+sim::Task<> make_dead_open_ends(ThreadCtx& c, int n) {
+  for (int i = 0; i < n; ++i) {
+    LocalLinkPair pair = co_await c.new_link();
+    c.enable_requests(pair.end1);
+    co_await c.destroy(pair.end2);
+  }
+}
+
+sim::Task<> dead_end_server(ThreadCtx& c, LinkHandle live,
+                            std::vector<std::string>* log) {
+  co_await make_dead_open_ends(c, 3000);
+  c.enable_requests(live);
+  for (int i = 0; i < 2; ++i) {
+    Incoming in = co_await c.receive();
+    CO_CHECK(in.link == live);
+    Message rep;
+    rep.args = in.msg.args;
+    co_await c.reply(in, std::move(rep));
+    log->push_back("served");
+  }
+  // Only dead queues are open now.
+  c.disable_requests(live);
+  try {
+    (void)co_await c.receive();
+    log->push_back("unexpected-message");
+  } catch (const LynxError& e) {
+    log->push_back(std::string("caught:") + to_string(e.kind()));
+  }
+}
+
+TEST(LynxSemantics, ThousandsOfDeadOpenEndsDoNotHideTheLiveOne) {
+  World w;
+  w.boot();
+  std::vector<std::string> log;
+  w.server.spawn_thread("srv", [&](ThreadCtx& ctx) {
+    return dead_end_server(ctx, w.server_end, &log);
+  });
+  std::vector<int> replies;
+  for (int i = 0; i < 2; ++i) {
+    w.client.spawn_thread("cli" + std::to_string(i), [&, i](ThreadCtx& ctx) {
+      return numbered_caller(ctx, w.client_end, i, &replies);
+    });
+  }
+  w.engine.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"served", "served",
+                                           "caught:link-destroyed"}));
+  EXPECT_EQ(replies, (std::vector<int>{0, 1}));
+  EXPECT_TRUE(w.server.thread_failures().empty());
+  EXPECT_TRUE(w.client.thread_failures().empty());
+}
+
+// The client's request is queued at the server when the client dies:
+// the destroyed end still delivers it, the reply feels the dead link,
+// and only then does receive() report every open queue destroyed.
+sim::Task<> late_receiver(ThreadCtx& c, LinkHandle l,
+                          std::vector<std::string>* log) {
+  c.enable_requests(l);
+  co_await c.delay(sim::msec(100));
+  Incoming in = co_await c.receive();
+  log->push_back("received:" + in.msg.op);
+  Message rep;
+  try {
+    co_await c.reply(in, std::move(rep));
+    log->push_back("replied");
+  } catch (const LynxError& e) {
+    log->push_back(std::string("reply:") + to_string(e.kind()));
+  }
+  try {
+    (void)co_await c.receive();
+    log->push_back("unexpected-message");
+  } catch (const LynxError& e) {
+    log->push_back(std::string("receive:") + to_string(e.kind()));
+  }
+}
+
+TEST(LynxSemantics, DestroyedEndStillDeliversItsQueuedRequest) {
+  World w;
+  w.boot();
+  std::vector<std::string> log;
+  w.server.spawn_thread("srv", [&](ThreadCtx& ctx) {
+    return late_receiver(ctx, w.server_end, &log);
+  });
+  w.client.spawn_thread("cli", [&](ThreadCtx& ctx) {
+    return tolerant_caller(ctx, w.client_end);
+  });
+  w.engine.schedule(sim::msec(50), [&] { w.client.terminate(); });
+  w.engine.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"received:op",
+                                           "reply:link-destroyed",
+                                           "receive:link-destroyed"}));
+}
+
+// A receiver blocked on its only live open queue, beside dead ones,
+// fails when that end dies, and not before.
+sim::Task<> lone_receiver(ThreadCtx& c, LinkHandle l, std::string* outcome,
+                          sim::Time* failed_at) {
+  co_await make_dead_open_ends(c, 50);
+  c.enable_requests(l);
+  try {
+    (void)co_await c.receive();
+    *outcome = "unexpected-message";
+  } catch (const LynxError& e) {
+    *outcome = std::string("caught:") + to_string(e.kind());
+    *failed_at = c.engine().now();
+  }
+}
+
+TEST(LynxSemantics, ReceiveFailsWhenTheLastLiveOpenEndDies) {
+  World w;
+  w.boot();
+  std::string outcome;
+  sim::Time failed_at = -1;
+  w.server.spawn_thread("srv", [&](ThreadCtx& ctx) {
+    return lone_receiver(ctx, w.server_end, &outcome, &failed_at);
+  });
+  const sim::Time death = sim::msec(500);
+  w.engine.schedule(death, [&] { w.client.terminate(); });
+  w.engine.run();
+  EXPECT_EQ(outcome, "caught:link-destroyed");
+  EXPECT_GE(failed_at, death);
+}
+
+// Closing a destroyed end's queue takes it out of the "every open queue
+// is dead" verdict: the receiver then blocks instead of failing.
+TEST(LynxSemantics, DisablingADestroyedEndUpdatesTheVerdict) {
+  World w;
+  w.boot();
+  std::vector<std::string> log;
+  ThreadId tid = w.server.spawn_thread("srv", [&](ThreadCtx& ctx) {
+    return [](ThreadCtx& c, LinkHandle l,
+              std::vector<std::string>* lg) -> sim::Task<> {
+      c.enable_requests(l);
+      co_await c.delay(sim::msec(50));  // the client dies meanwhile
+      for (int round = 0; round < 2; ++round) {
+        try {
+          (void)co_await c.receive();
+          lg->push_back("unexpected-message");
+        } catch (const LynxError& e) {
+          lg->push_back(std::string("caught:") + to_string(e.kind()));
+        }
+        c.disable_requests(l);
+      }
+    }(ctx, w.server_end, &log);
+  });
+  w.engine.schedule(sim::msec(10), [&] { w.client.terminate(); });
+  w.engine.schedule(sim::msec(200), [&, tid] { w.server.abort_thread(tid); });
+  w.engine.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"caught:link-destroyed",
+                                           "caught:aborted"}));
 }
 
 }  // namespace
