@@ -14,15 +14,13 @@
 // gated kernel (bench/baselines/*_capacity.json, routed by the file's
 // "backend" field): exits 1 when a kernel's measured peak falls more than
 // 10% below its baseline, so CI catches an ack-protocol slowdown — on any
-// substrate — in the change that causes it.  --formation=on|off is this
-// bench's own flag.
+// substrate — in the change that causes it.
 #include <cmath>
 #include <cstdio>
 
 #include "charlotte/types.hpp"
 #include "harness.hpp"
 #include "load/load.hpp"
-#include "lynx/chrysalis_backend.hpp"
 #include "soda/types.hpp"
 
 namespace {
@@ -33,22 +31,14 @@ using namespace bench;
 // uncontended tail (Charlotte's ~57 ms included) sits far below it.
 constexpr double kKneeBoundMs = 250.0;
 
-// --formation=on arms RPC formation (src/form/, DESIGN.md §14) in every
-// scenario this bench runs; the scenario name gains a "+form" suffix so
-// curve JSON from the two modes never collides, and the baseline gate
-// (calibrated formation-off) refuses to gate a formation run.
-bool g_formation = false;
-constexpr sim::Duration kFormDelay = sim::msec(2);
-
 load::Scenario base_scenario(bool smoke) {
   load::Scenario sc;
-  sc.name = g_formation ? "fan-in-4x1+form" : "fan-in-4x1";
+  sc.name = "fan-in-4x1";
   sc.clients = 4;
   sc.servers = 1;
   sc.arrival = load::Arrival::kOpenPoisson;
   sc.mix = {{64, 64, 1.0}};
   sc.seed = bench::seed();
-  if (g_formation) sc.form_delay = kFormDelay;
   if (smoke) {
     sc.warmup = sim::msec(250);
     sc.measure = sim::sec(1);
@@ -132,12 +122,10 @@ void curves_report(bool smoke, sweep::ThreadPool& pool) {
 
 // The transport settings each substrate ran with, recorded alongside
 // every peak so the JSON lines say what was measured.  Values mirror
-// what load::Fleet configures — default kernel cost structs plus the
-// scenario's formation window.
-void emit_capacity_knobs(load::Substrate sub, const load::Scenario& sc) {
+// what load::Fleet configures: the default kernel cost structs.
+void emit_capacity_knobs(load::Substrate sub) {
   auto j = json();
   j.field("kind", "capacity_knobs").field("backend", to_string(sub));
-  j.field("form_delay_ms", sim::to_msec(sc.form_delay));
   switch (sub) {
     case load::Substrate::kCharlotte: {
       const charlotte::Costs c;
@@ -188,106 +176,16 @@ CapacityPeaks capacity_report(bool smoke, sweep::ThreadPool& pool) {
         .field("peak_throughput", cap.peak_throughput)
         .field("p99_bound_ms", cap.p99_bound_ms)
         .emit();
-    emit_capacity_knobs(sub, base_scenario(smoke));
+    emit_capacity_knobs(sub);
     for (const auto& pt : cap.curve) emit_point("probe", pt.report, pt.rate);
   }
-  if (!g_formation) {
-    // Formation shifts both kernels' knees (batching trades latency for
-    // frames), so the paper-ordering invariant is only asserted on the
-    // frame-per-message wire the paper describes.
-    RELYNX_ASSERT_MSG(
-        peaks[static_cast<int>(load::Substrate::kSoda)] >
-            peaks[static_cast<int>(load::Substrate::kCharlotte)],
-        "SODA must out-sustain Charlotte (paper latency ordering)");
-    print_note("every peak is finite, and SODA sustains more than Charlotte —");
-    print_note("the paper's latency ordering carries over to capacity.");
-  }
+  RELYNX_ASSERT_MSG(
+      peaks[static_cast<int>(load::Substrate::kSoda)] >
+          peaks[static_cast<int>(load::Substrate::kCharlotte)],
+      "SODA must out-sustain Charlotte (paper latency ordering)");
+  print_note("every peak is finite, and SODA sustains more than Charlotte —");
+  print_note("the paper's latency ordering carries over to capacity.");
   return out;
-}
-
-// ---- E16: formation ablation at pipeline depth 8 ---------------------------
-
-// The formation layer's target workload: one client keeps 8 concurrent
-// calls in flight on independent channels to one server (closed loop,
-// zero think — RPC pipelining at depth 8), so both directions of the
-// single client<->server pair carry two co-destined small frames per
-// op.  The ablation runs every substrate with formation off and on and
-// reports the frames-per-delivered-message ratio — the ISSUE's
-// acceptance bar is >= 2x fewer wire frames per op at this depth.
-//
-// The formation window is matched per substrate to the kernel's frame
-// service timescale; a window far below it never sees a second
-// co-destined frame, and a window far above it starves the transport
-// (SODA retransmits, Charlotte idles the token):
-//   * Charlotte: 20 ms ~ one token rotation of the loaded ring — frames
-//     queue behind the token anyway, so forming is nearly free and
-//     batches span ops (measured ~2.9x).
-//   * SODA: 5 ms, under the transport RTO (12 ms) so held frames never
-//     masquerade as loss.  Each op's accept+reply (and reply-accept +
-//     next request) pair per direction: exactly 2x.
-//   * Chrysalis: 10 ms ~ the pump's service time for a full window of
-//     8 ops.  Consume-ack + reply notices pair per direction: 2x.
-sim::Duration form_delay_for(load::Substrate sub) {
-  switch (sub) {
-    case load::Substrate::kCharlotte: return sim::msec(20);
-    case load::Substrate::kSoda: return sim::msec(5);
-    case load::Substrate::kChrysalis: return sim::msec(10);
-  }
-  return kFormDelay;
-}
-
-load::Scenario depth8_scenario(bool smoke, load::Substrate sub,
-                               bool formation) {
-  load::Scenario sc = base_scenario(smoke);
-  sc.name = formation ? "depth8+form" : "depth8";
-  sc.clients = 1;
-  sc.servers = 1;
-  sc.channels_per_client = 8;
-  sc.arrival = load::Arrival::kClosed;
-  sc.think = 0;
-  sc.form_delay = formation ? form_delay_for(sub) : sim::Duration(0);
-  return sc;
-}
-
-void formation_report(bool smoke, sweep::ThreadPool& pool) {
-  table_header("E16: RPC formation on/off (closed loop, pipeline depth 8)");
-  std::printf("%-10s %-6s %12s %10s %10s %12s %10s\n", "backend", "form",
-              "delivered/s", "p50 ms", "p99 ms", "frames/op", "ratio");
-  const std::vector<int> modes = {0, 1};
-  for (load::Substrate sub : load::all_substrates()) {
-    const auto reports = sweep::map<int, load::Report>(
-        modes,
-        [sub, smoke](const int& on) {
-          return load::run_scenario(sub, depth8_scenario(smoke, sub, on != 0));
-        },
-        pool);
-    const load::Report& off = reports[0];
-    const load::Report& on = reports[1];
-    const double ratio =
-        on.frames_per_op > 0 ? off.frames_per_op / on.frames_per_op : 0.0;
-    for (const int mode : modes) {
-      const load::Report& r = reports[static_cast<std::size_t>(mode)];
-      char ratio_col[16] = "-";
-      if (mode != 0) std::snprintf(ratio_col, sizeof ratio_col, "%.2fx", ratio);
-      std::printf("%-10s %-6s %12.1f %10.2f %10.2f %12.3f %10s\n",
-                  r.backend.c_str(), mode != 0 ? "on" : "off", r.throughput,
-                  r.p50_ms, r.p99_ms, r.frames_per_op, ratio_col);
-      emit_point(mode != 0 ? "formation-on" : "formation-off", r, 0.0);
-    }
-    json()
-        .field("kind", "formation_ablation")
-        .field("backend", off.backend)
-        .field("form_delay_ms", sim::to_msec(form_delay_for(sub)))
-        .field("frames_per_op_off", off.frames_per_op)
-        .field("frames_per_op_on", on.frames_per_op)
-        .field("frame_ratio", ratio)
-        .field("throughput_off", off.throughput)
-        .field("throughput_on", on.throughput)
-        .emit();
-  }
-  print_note("frames/op counts wire frames (Charlotte/SODA medium frames,");
-  print_note("Chrysalis dual-queue enqueue calls) per delivered reply; the");
-  print_note("ratio column is the off/on frame saving from batching.");
 }
 
 // ---- payload break-even under load (E5 revisited) --------------------------
@@ -360,11 +258,7 @@ void traced_run(bool smoke) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::init(argc, argv, "capacity", [](const std::string& arg) {
-    if (arg != "--formation=on" && arg != "--formation=off") return false;
-    g_formation = arg == "--formation=on";
-    return true;
-  });
+  bench::init(argc, argv, "capacity");
   const bool smoke = bench::smoke();
   // Each --baseline file names its substrate in "backend"; route first so
   // a misrouted file fails before the sweep, not after it.
@@ -378,17 +272,8 @@ int main(int argc, char** argv) {
   curves_report(smoke, pool);
   const CapacityPeaks peaks = capacity_report(smoke, pool);
   payload_report(smoke, pool);
-  formation_report(smoke, pool);
   traced_run(smoke);
 
-  if (!baseline_paths().empty() && g_formation) {
-    // The checked-in baselines measure the frame-per-message wire; a
-    // formation-on peak is a different quantity and must not be gated
-    // (or silently refreshed) against it.
-    print_note("baseline gate skipped: --formation=on changes the measured");
-    print_note("quantity; the gate only runs on formation-off invocations.");
-    return 0;
-  }
   bool gate_ok = true;
   for (std::size_t i = 0; i < subs.size(); ++i) {
     const std::string& text = (*baselines)[i];

@@ -3,9 +3,9 @@
 // Four phases, all reported as JSON lines and summarized for humans:
 //
 //   1. sweep           — seeds x {charlotte, soda, chrysalis} x {fifo,
-//                        perm} x {none, ack-storm} on the echo
-//                        workload; a conforming build finishes with
-//                        zero failures.
+//                        perm} x {none, ack-storm, both-dark} on the
+//                        echo workload; a conforming build finishes
+//                        with zero failures.
 //   2. self-test       — the same universes with the deliberately
 //                        injected Charlotte re-ack bug armed; the
 //                        checker must catch it, shrink it, and emit a
@@ -28,7 +28,7 @@
 //   --threads=N        host threads for the sweeps (0 = all cores);
 //                      every phase prints its order-sensitive sweep
 //                      digest, which is identical for any N
-//   --skip-selftest    phase 1 only
+//   --skip-selftest    the two sweeps only (phases 1 and 3)
 //   --repro-out=FILE   append repro-token JSON lines for every failure
 //   --replay=TOKEN     run ONE universe from a repro token and report
 #include <cstdio>
@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
   sweep.first_seed = first_seed;
   sweep.threads = threads;
   sweep.plans = {check::PlanSpec::kNone, check::PlanSpec::kAckStorm,
-                 check::PlanSpec::kBatchStorm};
+                 check::PlanSpec::kBothDark};
   const check::ExploreResult swept = check::explore(sweep);
   std::printf(
       "{\"phase\":\"sweep\",\"runs\":%llu,\"shrink_runs\":%llu,"
@@ -189,26 +189,6 @@ int main(int argc, char** argv) {
     report_failure("replica-sweep", f);
   }
   if (!rep_swept.failures.empty()) ok = false;
-
-  // ---- phase 3b: replica sweep with RPC formation armed --------------
-  // The commit fan-out batches Apply frames; the Wing–Gong oracle must
-  // stay clean with batches (and whole batches dying mid-fail-over).
-  check::ExploreOptions repf = rep;
-  repf.seeds = seeds < 10 ? seeds : 10;
-  repf.plans = {check::PlanSpec::kNone, check::PlanSpec::kPrimaryBounce};
-  repf.formation = true;
-  const check::ExploreResult repf_swept = check::explore(repf);
-  std::printf(
-      "{\"phase\":\"replica-formation\",\"runs\":%llu,\"shrink_runs\":%llu,"
-      "\"failures\":%zu,\"digest\":\"%016llx\"}\n",
-      static_cast<unsigned long long>(repf_swept.runs),
-      static_cast<unsigned long long>(repf_swept.shrink_runs),
-      repf_swept.failures.size(),
-      static_cast<unsigned long long>(repf_swept.sweep_digest));
-  for (const check::FailureReport& f : repf_swept.failures) {
-    report_failure("replica-formation", f);
-  }
-  if (!repf_swept.failures.empty()) ok = false;
 
   // ---- phase 4: planted stale-read self-test -------------------------
   if (selftest) {

@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -50,9 +49,8 @@ using load::Substrate;
 //     --smoke            the CI-sized version of benches that have one
 //     --baseline=PATH    a flat JSON baseline for the bench's gates
 //                        (repeatable; see gate() below)
-// A bench's own flags go through `local`, which returns true for each
-// argument it consumes.  Anything else prints "unknown flag X" and
-// exits 2, so a misspelt gate flag cannot silently disable the gate.
+// Anything else prints "unknown flag X" and exits 2, so a misspelt gate
+// flag cannot silently disable the gate.
 
 inline std::FILE*& json_file() {
   static std::FILE* f = nullptr;
@@ -79,8 +77,7 @@ inline std::vector<std::string>& baseline_paths() {
   return paths;
 }
 
-inline void init(int argc, char** argv, const char* name,
-                 const std::function<bool(const std::string&)>& local = {}) {
+inline void init(int argc, char** argv, const char* name) {
   bench_name() = name;
   baseline_paths().clear();
   for (int i = 1; i < argc; ++i) {
@@ -103,7 +100,7 @@ inline void init(int argc, char** argv, const char* name,
       smoke() = true;
     } else if (arg.rfind(baseline_flag, 0) == 0) {
       baseline_paths().push_back(arg.substr(baseline_flag.size()));
-    } else if (!local || !local(arg)) {
+    } else {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       std::exit(2);
     }

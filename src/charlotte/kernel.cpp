@@ -114,11 +114,8 @@ std::uint64_t Cluster::total_move_frames() const {
 Kernel::Kernel(Cluster& cluster, net::NodeId node)
     : cluster_(&cluster),
       node_(node),
-      packer_(cluster.engine(), cluster.medium(), node,
-              form::Params{cluster.costs().form_delay,
-                           cluster.costs().form_max_bytes}) {
-  cluster_->medium().attach(node_,
-                            [this](const net::Frame& f) { on_frame(f); });
+      medium_(&cluster.medium()) {
+  medium_->attach(node_, [this](const net::Frame& f) { on_frame(f); });
 }
 
 void Kernel::transmit(net::NodeId dst, wire::KernelFrame frame,
@@ -146,14 +143,10 @@ void Kernel::transmit(net::NodeId dst, wire::KernelFrame frame,
   }
   net::Frame out{node_, dst, bytes, std::move(frame)};
   out.trace_id = trace;
-  packer_.submit(std::move(out));
+  medium_->send(std::move(out));
 }
 
 void Kernel::on_frame(const net::Frame& frame) {
-  if (std::any_cast<form::Batch>(&frame.body) != nullptr) {
-    on_batch(frame);
-    return;
-  }
   const auto& kf = frame.as<wire::KernelFrame>();
   sim::Duration cost = cluster_->costs().frame_processing;
   if (const auto* msg = std::get_if<wire::Msg>(&kf)) {
@@ -167,45 +160,6 @@ void Kernel::on_frame(const net::Frame& frame) {
   cluster_->engine().schedule(cost, [this, kf, src = frame.src] {
     std::visit([this, src](const auto& m) { handle(m, src); }, kf);
   });
-}
-
-// A form::Batch arrived: pay frame absorption ONCE, then a cheap
-// demultiplex per enclosure, and dispatch the enclosures in submission
-// order within a single scheduled event — per-link FIFO is exactly what
-// it would have been frame-per-message, minus the per-frame overheads.
-void Kernel::on_batch(const net::Frame& frame) {
-  const auto& batch = frame.as<form::Batch>();
-  const Costs& costs = cluster_->costs();
-  sim::Duration cost = costs.frame_processing;
-  auto* rec = trace::get(cluster_->engine());
-  if (rec != nullptr) {
-    rec->instant(node_.value(), "wire", "batch.rx", frame.trace_id, frame.id,
-                 batch.frames.size());
-  }
-  std::vector<wire::KernelFrame> enclosed;
-  enclosed.reserve(batch.frames.size());
-  for (const net::Frame& sub : batch.frames) {
-    const auto& kf = sub.as<wire::KernelFrame>();
-    cost += costs.form_enclosure_processing;
-    if (const auto* msg = std::get_if<wire::Msg>(&kf)) {
-      cost += costs.per_byte_copy *
-              static_cast<sim::Duration>(msg->data.size());
-    }
-    // Per-enclosure frame.rx with the enclosure's own TraceId, so the
-    // phase tables keep decomposing each RPC even when its frames
-    // shared a batch with strangers.
-    if (rec != nullptr) {
-      rec->instant(node_.value(), "wire", "frame.rx", sub.trace_id, frame.id,
-                   sub.payload_bytes);
-    }
-    enclosed.push_back(kf);
-  }
-  cluster_->engine().schedule(
-      cost, [this, enclosed = std::move(enclosed), src = frame.src] {
-        for (const wire::KernelFrame& kf : enclosed) {
-          std::visit([this, src](const auto& m) { handle(m, src); }, kf);
-        }
-      });
 }
 
 Kernel::EndState* Kernel::find_end(EndId id) {

@@ -30,7 +30,6 @@
 #include "charlotte/wire.hpp"
 #include "common/result.hpp"
 #include "common/rtt_estimator.hpp"
-#include "form/packer.hpp"
 #include "net/packet.hpp"
 #include "net/token_ring.hpp"
 #include "sim/engine.hpp"
@@ -98,8 +97,6 @@ class Kernel {
     return move_frames_;
   }
   [[nodiscard]] std::uint64_t nack_retransmits() const { return retransmits_; }
-  // The RPC-formation packer between this kernel and the medium (E16).
-  [[nodiscard]] const form::Packer& packer() const { return packer_; }
 
  private:
   friend class Cluster;
@@ -181,7 +178,6 @@ class Kernel {
 
   // frame handling
   void on_frame(const net::Frame& frame);
-  void on_batch(const net::Frame& frame);
   void handle(const wire::Msg& m, net::NodeId from);
   void handle(const wire::MsgAck& m, net::NodeId from);
   void handle(const wire::MsgNackMoved& m, net::NodeId from);
@@ -224,7 +220,7 @@ class Kernel {
 
   Cluster* cluster_;
   net::NodeId node_;
-  form::Packer packer_;  // sits between transmit() and the medium
+  net::Medium* medium_;
   std::unordered_map<EndId, EndState> ends_;
   std::unordered_map<LinkId, HomeRecord> homes_;
   std::unordered_map<EndId, net::NodeId> forwarded_;  // tombstones

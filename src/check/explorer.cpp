@@ -27,13 +27,6 @@ using net::NodeId;
 constexpr sim::Time kStormFrom = sim::msec(60);
 constexpr sim::Time kStormTo = sim::msec(310);
 
-// Formation window armed by RunConfig::formation / PlanSpec::kBatchStorm.
-constexpr sim::Duration kFormDelay = sim::msec(2);
-
-[[nodiscard]] bool formation_on(const RunConfig& cfg) {
-  return cfg.formation || cfg.plan == PlanSpec::kBatchStorm;
-}
-
 fault::Plan plan_of(PlanSpec spec) {
   switch (spec) {
     case PlanSpec::kNone:
@@ -43,9 +36,7 @@ fault::Plan plan_of(PlanSpec spec) {
       // through, but their acks and the replies do not.
       return fault::Plan{}.drop_between(kStormFrom, kStormTo, 1.0, NodeId(0),
                                         NodeId(1));
-    case PlanSpec::kBatchStorm:
-      // Both directions dark: whole form::Batch frames die, losing all
-      // their enclosures at once; the transport must re-deliver them.
+    case PlanSpec::kBothDark:
       return fault::Plan{}
           .drop_between(kStormFrom, kStormTo, 1.0, NodeId(0), NodeId(1))
           .drop_between(kStormFrom, kStormTo, 1.0, NodeId(1), NodeId(0));
@@ -76,7 +67,6 @@ load::WorldParams world_params(const RunConfig& cfg) {
   // 40 x 12ms of per-fragment retransmission outlasts the storm window.
   p.soda.ack_timeout = sim::msec(12);
   p.soda.max_transport_attempts = 40;
-  if (formation_on(cfg)) p.form_delay = kFormDelay;
   p.bus_seed = cfg.seed;
   p.faults = plan_of(cfg.plan);
   p.fault_seed = cfg.seed;
@@ -120,7 +110,7 @@ const char* to_string(PlanSpec spec) {
   switch (spec) {
     case PlanSpec::kNone: return "none";
     case PlanSpec::kAckStorm: return "ack-storm";
-    case PlanSpec::kBatchStorm: return "batch-storm";
+    case PlanSpec::kBothDark: return "both-dark";
     case PlanSpec::kPrimaryCrash: return "primary-crash";
     case PlanSpec::kPrimaryBounce: return "primary-bounce";
     case PlanSpec::kBackupBounce: return "backup-bounce";
@@ -131,7 +121,7 @@ const char* to_string(PlanSpec spec) {
 std::optional<PlanSpec> plan_spec_from(std::string_view name) {
   if (name == "none") return PlanSpec::kNone;
   if (name == "ack-storm") return PlanSpec::kAckStorm;
-  if (name == "batch-storm") return PlanSpec::kBatchStorm;
+  if (name == "both-dark") return PlanSpec::kBothDark;
   if (name == "primary-crash") return PlanSpec::kPrimaryCrash;
   if (name == "primary-bounce") return PlanSpec::kPrimaryBounce;
   if (name == "backup-bounce") return PlanSpec::kBackupBounce;
@@ -179,7 +169,6 @@ replica::Options replica_options_of(const RunConfig& cfg) {
   o.ops_per_client = cfg.calls;
   o.seed = cfg.seed;
   o.debug_stale_reads = cfg.inject_stale_bug;
-  if (formation_on(cfg)) o.form_delay = kFormDelay;
   const FaultTimes ft = fault_times(cfg.substrate);
   switch (cfg.plan) {
     case PlanSpec::kPrimaryCrash:
@@ -348,7 +337,6 @@ std::string to_json(const RunConfig& cfg) {
   j += ",\"bytes\":" + std::to_string(cfg.bytes);
   if (cfg.inject_reack_bug) j += ",\"bug\":1";
   if (cfg.inject_stale_bug) j += ",\"stale\":1";
-  if (cfg.formation) j += ",\"form\":1";
   j += "}";
   return j;
 }
@@ -410,6 +398,10 @@ std::optional<sim::TieBreak> tie_from(std::string_view name) {
 }  // namespace
 
 std::optional<RunConfig> parse_token(std::string_view json) {
+  // "form" armed RPC formation, which no longer exists: such a token
+  // names a universe that cannot be rebuilt, so it must not replay as
+  // a formation-free one.
+  if (json_raw(json, "form").has_value()) return std::nullopt;
   RunConfig cfg;
   const auto substrate = json_raw(json, "substrate");
   const auto tie = json_raw(json, "tie");
@@ -442,9 +434,6 @@ std::optional<RunConfig> parse_token(std::string_view json) {
   }
   if (const auto stale = json_u64(json, "stale")) {
     cfg.inject_stale_bug = *stale != 0;
-  }
-  if (const auto form = json_u64(json, "form")) {
-    cfg.formation = *form != 0;
   }
   return cfg;
 }
@@ -504,10 +493,11 @@ ExploreResult explore(const ExploreOptions& opts) {
   std::vector<RunConfig> configs;
   for (load::Substrate substrate : opts.substrates) {
     for (PlanSpec plan : opts.plans) {
-      // Plan applicability: ack-storm impairs a medium (Chrysalis has
-      // none) and is tuned for the echo pair; the crash plans drive the
-      // replica group's fault schedule and work on every substrate.
-      if ((plan == PlanSpec::kAckStorm || plan == PlanSpec::kBatchStorm) &&
+      // Plan applicability: ack-storm and both-dark impair a medium
+      // (Chrysalis has none) and are tuned for the echo pair; the crash
+      // plans drive the replica group's fault schedule and work on
+      // every substrate.
+      if ((plan == PlanSpec::kAckStorm || plan == PlanSpec::kBothDark) &&
           (substrate == load::Substrate::kChrysalis ||
            opts.workload != Workload::kEcho)) {
         continue;
@@ -531,7 +521,6 @@ ExploreResult explore(const ExploreOptions& opts) {
                                  substrate == load::Substrate::kCharlotte;
           cfg.inject_stale_bug =
               opts.inject_stale_bug && opts.workload == Workload::kReplica;
-          cfg.formation = opts.formation;
           configs.push_back(cfg);
         }
       }

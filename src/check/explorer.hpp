@@ -45,11 +45,10 @@ enum class PlanSpec : std::uint8_t {
   // every call cleanly.  Echo workload only.
   kAckStorm,
   // Both directions of the node 0 <-> node 1 pair go dark in the same
-  // window, with RPC formation forced ON (DESIGN.md §14): a dropped
-  // form::Batch loses every enclosure at once, so recovery must
-  // re-deliver whole batches' worth of messages, not single frames.
-  // Same recoverability budget as ack-storm.  Echo workload only.
-  kBatchStorm,
+  // window: requests and their retransmits die too, not only the
+  // replies, so both transports must recover.  Same recoverability
+  // budget as ack-storm.  Echo workload only.
+  kBothDark,
   // Replica-workload crash plans (node crash/restart via the group's
   // fault schedule, timed per substrate to land mid-commit-stream).
   kPrimaryCrash,   // primary dies and never returns; fail-over only
@@ -95,10 +94,6 @@ struct RunConfig {
   // Arms replica::Options::debug_stale_reads — the planted stale-read
   // bug the linearizability oracle's self-test must catch.
   bool inject_stale_bug = false;
-  // Arms RPC formation (form_delay = 2ms) in the universe's kernel
-  // costs / backend params on every substrate.  kBatchStorm implies it
-  // — without formation there are no batches to drop.
-  bool formation = false;
 };
 
 struct RunVerdict {
@@ -154,7 +149,6 @@ struct ExploreOptions {
   std::size_t bytes = 32;
   bool inject_reack_bug = false;  // charlotte echo universes only
   bool inject_stale_bug = false;  // replica universes only
-  bool formation = false;         // arm RPC formation in every universe
   bool shrink_failures = true;
   // Host threads for the sweep.  Each RunConfig is an independent
   // single-threaded Engine, so the cross product fans out over a
@@ -176,11 +170,11 @@ struct ExploreResult {
 };
 
 // Sweeps the cross product.  Plans that do not apply are skipped:
-// ack-storm needs a medium (not Chrysalis) and the echo workload; the
-// crash plans need the replica workload (and work on every substrate —
-// a Chrysalis "crash" is plain process termination).  The injected
-// re-ack bug only arms on Charlotte echo universes, the stale-read bug
-// only on replica ones.
+// ack-storm and both-dark need a medium (not Chrysalis) and the echo
+// workload; the crash plans need the replica workload (and work on
+// every substrate — a Chrysalis "crash" is plain process termination).
+// The injected re-ack bug only arms on Charlotte echo universes, the
+// stale-read bug only on replica ones.
 [[nodiscard]] ExploreResult explore(const ExploreOptions& opts);
 
 }  // namespace check

@@ -427,36 +427,6 @@ sim::Task<Status> Kernel::enqueue(Pid caller, DqId id, std::uint32_t datum) {
   co_return deliver_to_queue(it2->second, datum);
 }
 
-sim::Task<Status> Kernel::enqueue_many(Pid caller, DqId id,
-                                       std::vector<std::uint32_t> data) {
-  if (data.empty()) co_return Status::kOk;
-  ++ops_;
-  ++enqueue_calls_;
-  auto it = queues_.find(id);
-  if (it == queues_.end()) {
-    co_await engine_->sleep(costs_.primitive_call);
-    co_return Status::kNoSuchObject;
-  }
-  DualQueue& q = it->second;
-  const bool remote = is_remote(caller, q.home);
-  if (remote) ++remote_;
-  // One dispatch + one switch setup for the whole batch; each datum
-  // after the first costs only dq_enqueue_extra.
-  co_await engine_->sleep(costs_.primitive_call + costs_.dq_enqueue +
-                          costs_.dq_enqueue_extra *
-                              static_cast<sim::Duration>(data.size() - 1) +
-                          (remote ? fabric_.word_reference(true) : 0));
-  auto it2 = queues_.find(id);
-  if (it2 == queues_.end()) co_return Status::kNoSuchObject;
-  Status status = Status::kOk;
-  for (const std::uint32_t datum : data) {
-    if (deliver_to_queue(it2->second, datum) == Status::kQueueFull) {
-      status = Status::kQueueFull;  // that datum dropped; keep delivering
-    }
-  }
-  co_return status;
-}
-
 sim::Task<Result<Kernel::DequeueOutcome>> Kernel::dequeue(Pid caller, DqId id,
                                                           EventId my_event) {
   ++ops_;

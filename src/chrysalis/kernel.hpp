@@ -96,15 +96,6 @@ class Kernel {
   // posts the front event with the datum instead (paper §5.1).
   [[nodiscard]] sim::Task<Status> enqueue(Pid caller, DqId q,
                                           std::uint32_t datum);
-  // Batched enqueue — the shared-memory analogue of RPC formation
-  // (DESIGN.md §14).  One microcode dispatch (primitive_call +
-  // dq_enqueue + the remote switch setup, paid once) delivers every
-  // datum in order, charging only Costs::dq_enqueue_extra for each
-  // datum after the first.  Data that find the queue full are dropped
-  // exactly as a lone enqueue's would be; the call then reports
-  // kQueueFull after delivering the rest.
-  [[nodiscard]] sim::Task<Status> enqueue_many(Pid caller, DqId q,
-                                               std::vector<std::uint32_t> data);
   // dequeue: pops a datum, or — if empty — enqueues `my_event`'s name and
   // reports would-block; the caller then waits on its event block.
   struct DequeueOutcome {
@@ -133,9 +124,8 @@ class Kernel {
   // ---- instrumentation -------------------------------------------------
   [[nodiscard]] std::uint64_t microcode_ops() const { return ops_; }
   [[nodiscard]] std::uint64_t remote_references() const { return remote_; }
-  // Dual-queue enqueue *dispatches* (enqueue and enqueue_many each count
-  // once, however many data the latter carries) — Chrysalis has no wire
-  // frames, so this is its frames-per-message analogue for E16.
+  // Dual-queue enqueue calls — Chrysalis has no wire frames, so this is
+  // its frames-per-message analogue.
   [[nodiscard]] std::uint64_t enqueue_calls() const { return enqueue_calls_; }
   // Pushes into a dual queue's data/waiter deques — the bookkeeping the
   // cheap-flag fast path exists to avoid.
@@ -184,7 +174,7 @@ class Kernel {
   [[nodiscard]] bool is_remote(Pid caller, net::NodeId home) const;
   // Post-suspension delivery of one datum into a dual queue: posts the
   // front waiter event if the queue holds event names, else appends
-  // (kQueueFull drops the datum).  Shared by enqueue / enqueue_many.
+  // (kQueueFull drops the datum).
   Status deliver_to_queue(DualQueue& q, std::uint32_t datum);
 
   sim::Engine* engine_;

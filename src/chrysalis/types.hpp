@@ -72,15 +72,10 @@ struct Costs {
   sim::Duration event_post = sim::usec(45);
   sim::Duration event_wait = sim::usec(30);
   sim::Duration dq_enqueue = sim::usec(70);
-  // Marginal cost of each datum after the first in a batched
-  // enqueue_many (src/form/, DESIGN.md §14): the microcode holds the
-  // queue and pays the dispatch/switch setup once, so extra data cost
-  // little more than the word writes themselves.
-  sim::Duration dq_enqueue_extra = sim::usec(8);
   sim::Duration dq_dequeue = sim::usec(70);
   // Marginal cost of each datum after the first in a batched
-  // dequeue_many (the drain-side mirror of dq_enqueue_extra): one
-  // dispatch services every ready notice.
+  // dequeue_many: one dispatch services every ready notice, so extra
+  // data cost little more than the word writes themselves.
   sim::Duration dq_dequeue_extra = sim::usec(8);
   sim::Duration make_object = sim::usec(600);
   sim::Duration map_object = sim::usec(450);

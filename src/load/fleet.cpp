@@ -13,8 +13,6 @@ WorldParams world_params(const Scenario& sc) {
   WorldParams p;
   p.nodes = sc.servers + sc.clients;
   p.fabric.nodes = static_cast<std::uint32_t>(p.nodes);
-  p.form_delay = sc.form_delay;
-  p.form_max_bytes = sc.form_max_bytes;
   p.bus_seed = sc.seed ^ 0x50da50daULL;
   // Each LYNX link end parks one standing status signal at its peer
   // (SodaBackend::post_signal), so a client pipelining across N

@@ -1,6 +1,5 @@
 #include "load/world.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "fault/faulty_medium.hpp"
@@ -23,11 +22,6 @@ std::array<Substrate, 3> all_substrates() {
 
 World::World(sim::Engine& engine, Substrate substrate, WorldParams p)
     : engine_(&engine), substrate_(substrate) {
-  p.charlotte.form_delay = p.soda.form_delay = chrysalis_.form_delay =
-      p.form_delay;
-  p.charlotte.form_max_bytes = p.soda.form_max_bytes = p.form_max_bytes;
-  chrysalis_.form_max_notices = std::max<std::size_t>(2, p.form_max_bytes / 16);
-
   if (substrate == Substrate::kChrysalis) {
     kernel_ = std::make_unique<chrysalis::Kernel>(engine, p.fabric);
     return;
@@ -80,7 +74,7 @@ lynx::Process& World::make_process(std::string name, std::size_t node) {
       costs = lynx::pdp11_runtime_costs();
       break;
     case Substrate::kChrysalis:
-      backend = lynx::make_chrysalis_backend(*kernel_, nid, chrysalis_);
+      backend = lynx::make_chrysalis_backend(*kernel_, nid);
       costs = lynx::mc68000_runtime_costs();
       break;
   }

@@ -55,12 +55,6 @@ struct WorldParams {
   net::ButterflyParams fabric;
   charlotte::Costs charlotte;
   soda::Costs soda;
-  // RPC formation (DESIGN.md §14) on every substrate; World writes these
-  // into both Costs above.  Chrysalis batches up to
-  // max(2, form_max_bytes / 16) notices, parity with ~64 small
-  // enclosures in the default 1024-byte frame.
-  sim::Duration form_delay = 0;
-  std::size_t form_max_bytes = 1024;
   std::uint64_t bus_seed = 0;  // the SODA bus's backoff draws
   std::optional<fault::Plan> faults;
   std::uint64_t fault_seed = 0;  // the FaultyMedium's stochastic faults
@@ -106,7 +100,6 @@ class World {
  private:
   sim::Engine* engine_;
   Substrate substrate_;
-  lynx::ChrysalisBackendParams chrysalis_;
   std::unique_ptr<net::Medium> base_;
   std::unique_ptr<fault::FaultyMedium> faulty_;
   std::unique_ptr<fault::InvariantChecker> invariants_;

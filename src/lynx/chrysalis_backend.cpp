@@ -146,40 +146,13 @@ ChrysalisBackend::ChrysalisBackend(chrysalis::Kernel& kernel,
       ready_(std::make_unique<sim::Gate>(kernel.engine())) {}
 
 ChrysalisBackend::~ChrysalisBackend() {
-  for (auto& [dq, q] : notice_queues_) q.deadline.cancel();
   for (auto& [token, rec] : links_) rec.consumed_timer.cancel();
 }
 
 sim::Task<> ChrysalisBackend::post_notice(chrysalis::DqId dq,
                                           std::uint32_t datum) {
   ++notices_;
-  if (params_.form_delay <= 0) {
-    (void)co_await kernel_->enqueue(pid_, dq, datum);
-    co_return;
-  }
-  NoticeQueue& q = notice_queues_[dq];
-  q.pending.push_back(datum);
-  if (q.pending.size() >= params_.form_max_notices) {
-    q.deadline.cancel();
-    co_await flush_notices(dq);
-  } else if (q.pending.size() == 1) {
-    q.deadline = kernel_->engine().schedule_cancellable(
-        params_.form_delay, [this, dq] {
-          kernel_->engine().spawn("chrysalis-form-flush", flush_notices(dq));
-        });
-  }
-}
-
-sim::Task<> ChrysalisBackend::flush_notices(chrysalis::DqId dq) {
-  auto it = notice_queues_.find(dq);
-  if (it == notice_queues_.end() || it->second.pending.empty()) co_return;
-  std::vector<std::uint32_t> batch = std::move(it->second.pending);
-  it->second.pending.clear();
-  if (batch.size() == 1) {
-    (void)co_await kernel_->enqueue(pid_, dq, batch.front());
-  } else {
-    (void)co_await kernel_->enqueue_many(pid_, dq, std::move(batch));
-  }
+  (void)co_await kernel_->enqueue(pid_, dq, datum);
 }
 
 std::size_t ChrysalisBackend::slot_offset(int slot) const {
@@ -716,14 +689,6 @@ sim::Task<> ChrysalisBackend::perform_shutdown() {
   for (const auto& [obj, side] : to_destroy) {
     co_await perform_destroy_bits(obj, side);
   }
-  // Drain any notices still held by the formation window — peers must
-  // hear our destroyed hints before we go quiet.
-  std::vector<chrysalis::DqId> held;
-  for (auto& [dq, q] : notice_queues_) {
-    q.deadline.cancel();
-    if (!q.pending.empty()) held.push_back(dq);
-  }
-  for (const chrysalis::DqId dq : held) co_await flush_notices(dq);
   if (comm_ready_) {
     (void)co_await kernel_->enqueue(pid_, my_dq_,
                                     make_notice(chrysalis::MemId(0),

@@ -32,13 +32,6 @@ namespace lynx {
 
 struct ChrysalisBackendParams {
   std::size_t max_message_bytes = 2048;  // per-direction buffer size
-  // Notice formation (src/form/, DESIGN.md §14) — the shared-memory
-  // analogue of RPC formation: notices bound for the same dual queue
-  // (another process's or our own) within form_delay of each other ride
-  // one kernel enqueue_many dispatch (up to form_max_notices per
-  // batch).  0 = one enqueue per notice (the default).
-  sim::Duration form_delay = sim::Duration(0);
-  std::size_t form_max_notices = 16;
 };
 
 class ChrysalisBackend final : public Backend {
@@ -138,15 +131,10 @@ class ChrysalisBackend final : public Backend {
   [[nodiscard]] sim::Task<> recheck_link(chrysalis::MemId obj);
   [[nodiscard]] sim::Task<> unmap_object(chrysalis::MemId obj);
   [[nodiscard]] sim::Task<> enqueue_self(std::uint32_t datum);
-  // Notice formation: every hint leaves through here.  With form_delay
-  // == 0 each notice goes straight to Kernel::enqueue; otherwise
-  // notices are held per destination queue for up to form_delay and
-  // delivered together by one Kernel::enqueue_many dispatch.  The
-  // shutdown poison bypasses this path so teardown never waits on a
-  // deadline timer.
+  // Every hint leaves through here: one counted Kernel::enqueue.  The
+  // shutdown poison bypasses it, since it is not a protocol message.
   [[nodiscard]] sim::Task<> post_notice(chrysalis::DqId dq,
                                         std::uint32_t datum);
-  [[nodiscard]] sim::Task<> flush_notices(chrysalis::DqId dq);
   [[nodiscard]] sim::Task<> set_unwanted_bit(chrysalis::MemId obj,
                                              std::uint8_t side);
   [[nodiscard]] LinkRec* side_rec(chrysalis::MemId obj, std::uint8_t side);
@@ -169,12 +157,7 @@ class ChrysalisBackend final : public Backend {
   std::unordered_map<BLink, LinkRec> links_;
   std::unordered_map<chrysalis::MemId, std::array<BLink, 2>> by_obj_;
   common::IdAllocator<BLink> blink_ids_;
-  std::uint64_t notices_ = 0;  // logical notices, batched or not
-  struct NoticeQueue {
-    std::vector<std::uint32_t> pending;
-    sim::TimerHandle deadline;
-  };
-  std::unordered_map<chrysalis::DqId, NoticeQueue> notice_queues_;
+  std::uint64_t notices_ = 0;
 };
 
 [[nodiscard]] std::unique_ptr<ChrysalisBackend> make_chrysalis_backend(

@@ -1,5 +1,6 @@
 #include "lynx/message.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/assert.hpp"
@@ -57,6 +58,8 @@ void put_u64(Bytes& out, std::uint64_t v) {
 struct Reader {
   const Bytes& in;
   std::size_t pos = 0;
+
+  [[nodiscard]] std::size_t remaining() const { return in.size() - pos; }
 
   std::uint8_t u8() {
     RELYNX_ASSERT_MSG(pos < in.size(), "truncated LYNX message");
@@ -132,10 +135,14 @@ Message deserialize(const Bytes& body,
   const Bytes op = r.blob(op_len);
   m.op.assign(op.begin(), op.end());
   const std::uint32_t argc = r.u32();
-  m.args.reserve(argc);
+  // Every arg takes at least its tag byte, so a count beyond the bytes
+  // left is a truncated body; it must not size the allocation.
+  m.args.reserve(std::min<std::size_t>(argc, r.remaining()));
   for (std::uint32_t i = 0; i < argc; ++i) {
-    const auto tag = static_cast<ValueType>(r.u8());
-    switch (tag) {
+    const std::uint8_t raw = r.u8();
+    RELYNX_ASSERT_MSG(raw <= static_cast<std::uint8_t>(ValueType::kLink),
+                      "unknown LYNX value tag");
+    switch (static_cast<ValueType>(raw)) {
       case ValueType::kInt:
         m.args.emplace_back(static_cast<std::int64_t>(r.u64()));
         break;
@@ -163,6 +170,7 @@ Message deserialize(const Bytes& body,
       }
     }
   }
+  RELYNX_ASSERT_MSG(r.remaining() == 0, "trailing bytes after LYNX message");
   return m;
 }
 

@@ -27,6 +27,10 @@ struct Frame {
   NodeId src;
   NodeId dst;  // ignored for broadcast
   std::size_t payload_bytes = 0;
+  // Each kernel puts its own wire type here and reads back only that
+  // type through as<>().  It stays type-erased so this layer needs no
+  // kernel's wire headers, and test media can carry plain strings
+  // (DESIGN.md §14).
   std::any body;
   // Medium-assigned, unique per medium instance (0 = not yet stamped).
   // Lets fault injection and drop observers name the exact frame lost.

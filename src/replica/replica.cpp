@@ -412,8 +412,6 @@ load::WorldParams world_params(const Options& opt) {
   load::WorldParams p;
   p.nodes = opt.replicas + opt.clients;
   p.fabric.nodes = static_cast<std::uint32_t>(p.nodes);
-  p.form_delay = opt.form_delay;
-  p.form_max_bytes = opt.form_max_bytes;
   p.bus_seed = opt.seed;
   // Crashes come from the fault schedule below, through the medium.
   p.faults = fault::Plan{};

@@ -55,12 +55,6 @@ struct Options {
   sim::Time restart_backup_at = 0;
   sim::Duration failover_delay = sim::msec(5);  // detection -> view change
 
-  // RPC formation (src/form/, DESIGN.md §14): the primary's commit
-  // fan-out emits one small Apply frame per backup per write, so
-  // co-destined frames batch well.  0 = frame-per-message (default).
-  sim::Duration form_delay = 0;
-  std::size_t form_max_bytes = 1024;
-
   // Planted bug for the oracle self-test (the debug_drop_reacks idiom):
   // the primary serves every get from a snapshot that lags the last
   // committed write to that key by one, a classic stale read.

@@ -72,12 +72,8 @@ std::uint64_t Network::total_frames() const {
 // ===================== Kernel plumbing =====================
 
 Kernel::Kernel(Network& network, net::NodeId node)
-    : network_(&network), node_(node),
-      packer_(network.engine(), network.medium(), node,
-              form::Params{network.costs().form_delay,
-                           network.costs().form_max_bytes}) {
-  network_->medium().attach(node_,
-                            [this](const net::Frame& f) { on_frame(f); });
+    : network_(&network), node_(node), medium_(&network.medium()) {
+  medium_->attach(node_, [this](const net::Frame& f) { on_frame(f); });
 }
 
 void Kernel::transmit(net::NodeId dst, WireFrame frame, std::size_t bytes,
@@ -97,7 +93,7 @@ void Kernel::transmit(net::NodeId dst, WireFrame frame, std::size_t bytes,
   }
   net::Frame out{node_, dst, bytes, std::move(frame)};
   out.trace_id = trace;
-  packer_.submit(std::move(out));
+  medium_->send(std::move(out));
 }
 
 bool Kernel::acks_enabled() const {
@@ -263,10 +259,6 @@ void Kernel::handle(const TransportAck& f, net::NodeId from) {
 }
 
 void Kernel::on_frame(const net::Frame& frame) {
-  if (std::any_cast<form::Batch>(&frame.body) != nullptr) {
-    on_batch(frame);
-    return;
-  }
   const auto& wf = frame.as<WireFrame>();
   sim::Duration cost = network_->costs().frame_processing;
   if (const auto* rf = std::get_if<ReqFrag>(&wf)) {
@@ -283,45 +275,6 @@ void Kernel::on_frame(const net::Frame& frame) {
   network_->engine().schedule(cost, [this, wf, src = frame.src] {
     std::visit([this, src](const auto& m) { handle(m, src); }, wf);
   });
-}
-
-// A form::Batch arrived: one frame absorption for the whole batch, then
-// a cheap length-prefixed walk demultiplexes the enclosures.  All
-// enclosures dispatch in one scheduled event, in submission order, so
-// per-link FIFO is preserved exactly as if they had been separate
-// frames (src/form/, DESIGN.md §14).
-void Kernel::on_batch(const net::Frame& frame) {
-  const auto& batch = frame.as<form::Batch>();
-  const Costs& costs = network_->costs();
-  sim::Duration cost = costs.frame_processing;
-  for (const net::Frame& sub : batch.frames) {
-    cost += costs.form_enclosure_processing;
-    const auto& wf = sub.as<WireFrame>();
-    if (const auto* rf = std::get_if<ReqFrag>(&wf)) {
-      cost += costs.per_byte_copy * static_cast<sim::Duration>(rf->data.size());
-    } else if (const auto* af = std::get_if<AcceptFrag>(&wf)) {
-      cost += costs.per_byte_copy * static_cast<sim::Duration>(af->data.size());
-    }
-  }
-  if (auto* rec = trace::get(network_->engine())) {
-    rec->instant(node_.value(), "wire", "batch.rx", frame.trace_id, frame.id,
-                 batch.frames.size());
-    for (const net::Frame& sub : batch.frames) {
-      rec->instant(node_.value(), "wire", "frame.rx", sub.trace_id, frame.id,
-                   sub.payload_bytes);
-    }
-  }
-  std::vector<WireFrame> enclosed;
-  enclosed.reserve(batch.frames.size());
-  for (const net::Frame& sub : batch.frames) {
-    enclosed.push_back(sub.as<WireFrame>());
-  }
-  network_->engine().schedule(
-      cost, [this, enclosed = std::move(enclosed), src = frame.src] {
-        for (const WireFrame& wf : enclosed) {
-          std::visit([this, src](const auto& m) { handle(m, src); }, wf);
-        }
-      });
 }
 
 void Kernel::register_process(Pid pid) {
@@ -399,10 +352,9 @@ sim::Task<std::optional<Pid>> Kernel::discover(Pid caller, Name name) {
   sim::OneShot<std::optional<Pid>> slot(network_->engine());
   discovers_[qid] = DiscoverWait{&slot, false};
 
-  // Unreliable broadcast query; replies race the timeout.  Routed
-  // through the packer so the broadcast cannot overtake queued unicasts.
+  // Unreliable broadcast query; replies race the timeout.
   ++frames_out_;
-  packer_.submit_broadcast(
+  medium_->broadcast(
       net::Frame{node_, net::NodeId::invalid(), 16,
                  WireFrame(DiscoverQuery{qid, name, node_})});
   network_->engine().schedule(network_->costs().discover_timeout,
@@ -885,7 +837,7 @@ void Kernel::announce_reboot() {
   if (auto* rec = trace::get(network_->engine())) {
     rec->instant(node_.value(), "kernel", "node.reboot", 0, node_.value(), 0);
   }
-  packer_.submit_broadcast(net::Frame{
+  medium_->broadcast(net::Frame{
       node_, net::NodeId::invalid(), 16, WireFrame(RebootNote{node_})});
 }
 

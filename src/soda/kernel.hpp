@@ -28,7 +28,6 @@
 
 #include "common/result.hpp"
 #include "common/rtt_estimator.hpp"
-#include "form/packer.hpp"
 #include "net/csma_bus.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
@@ -96,7 +95,6 @@ class Kernel {
   // ---- instrumentation -------------------------------------------------------
   [[nodiscard]] std::uint64_t frames_emitted() const { return frames_out_; }
   [[nodiscard]] std::uint64_t retries() const { return retries_; }
-  [[nodiscard]] const form::Packer& packer() const { return packer_; }
 
  private:
   friend class Network;
@@ -257,7 +255,6 @@ class Kernel {
 
  private:
   void on_frame(const net::Frame& frame);
-  void on_batch(const net::Frame& frame);
   void handle(const ReqFrag& f, net::NodeId from);
   void handle(const ReqNack& f, net::NodeId from);
   void handle(const AcceptFrag& f, net::NodeId from);
@@ -323,7 +320,7 @@ class Kernel {
 
   Network* network_;
   net::NodeId node_;
-  form::Packer packer_;
+  net::Medium* medium_;
   std::unordered_set<Pid> processes_;
   std::unordered_map<Pid, std::unordered_set<Name>> advertised_;
   std::unordered_map<Pid, bool> handler_open_;

@@ -130,17 +130,6 @@ struct Costs {
   int max_request_attempts = 8;  // then RejectInterrupt
   std::size_t mtu_bytes = 256;   // fragmentation threshold
   int max_outstanding_per_pair = 8;
-  // ---- RPC formation (src/form/, DESIGN.md §14) ----
-  // Wire frames posted to the same destination node within form_delay of
-  // each other are packed into one form::Batch frame of up to
-  // form_max_bytes; the receiver pays frame_processing once plus
-  // form_enclosure_processing per enclosure to demultiplex.  0 = today's
-  // frame-per-message wire (the default).  Note form_max_bytes is a
-  // *batch* budget, distinct from mtu_bytes (which splits user payloads
-  // into fragments *before* formation sees them).
-  sim::Duration form_delay = sim::Duration(0);
-  std::size_t form_max_bytes = 1024;
-  sim::Duration form_enclosure_processing = sim::usec(200);
   // Transport-level acknowledgement + retransmission, for running over
   // an impaired medium (DESIGN.md §12).  0 disables both directions (the
   // seed behaviour: unicast bus frames are reliable, so SODA's only

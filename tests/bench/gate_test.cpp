@@ -122,19 +122,13 @@ TEST(BenchGate, DuplicateBackendFails) {
 
 TEST(BenchInit, ParsesSmokeAndRepeatableBaselines) {
   std::vector<std::string> args = {"bench", "--smoke", "--baseline=a.json",
-                                   "--baseline=b.json", "--formation=on"};
+                                   "--baseline=b.json"};
   std::vector<char*> argv;
   for (std::string& a : args) argv.push_back(a.data());
-  std::vector<std::string> local;
-  bench::init(static_cast<int>(argv.size()), argv.data(), "gate_test",
-              [&](const std::string& arg) {
-                local.push_back(arg);
-                return true;
-              });
+  bench::init(static_cast<int>(argv.size()), argv.data(), "gate_test");
   EXPECT_TRUE(bench::smoke());
   EXPECT_EQ(bench::baseline_paths(),
             (std::vector<std::string>{"a.json", "b.json"}));
-  EXPECT_EQ(local, std::vector<std::string>{"--formation=on"});
 }
 
 TEST(BenchInitDeathTest, UnknownFlagExitsTwo) {
@@ -146,15 +140,14 @@ TEST(BenchInitDeathTest, UnknownFlagExitsTwo) {
               "unknown flag --basline=bench/baselines/replica.json");
 }
 
+// bench_capacity's removed --formation flag: no bench takes flags of
+// its own any more, so a script still passing it fails loudly.
 TEST(BenchInitDeathTest, FlagTheBenchDeclinesExitsTwo) {
   std::string prog = "bench";
-  std::string flag = "--formation=maybe";
+  std::string flag = "--formation=on";
   char* argv[] = {prog.data(), flag.data()};
-  EXPECT_EXIT(bench::init(2, argv, "gate_test",
-                          [](const std::string& arg) {
-                            return arg == "--formation=on";
-                          }),
-              ::testing::ExitedWithCode(2), "unknown flag --formation=maybe");
+  EXPECT_EXIT(bench::init(2, argv, "gate_test"), ::testing::ExitedWithCode(2),
+              "unknown flag --formation=on");
 }
 
 }  // namespace

@@ -90,11 +90,11 @@ TEST(Explorer, StormPlansDeterministicOnSodaV2Wire) {
   // The SODA universe now runs the v2 cumulative-ack wire (watermarks,
   // piggybacked acks, adaptive RTO, frontier repair).  Under the full
   // drop plans — ack-storm (server->client dark for 250 ms) and
-  // batch-storm (both directions dark, formation on) — with seeded
+  // both-dark (both directions dark) — with seeded
   // schedule permutation on top, every universe must conform and digest
   // bit-identically run over run, and distinct seeds must explore
   // distinct schedules.
-  for (PlanSpec plan : {PlanSpec::kAckStorm, PlanSpec::kBatchStorm}) {
+  for (PlanSpec plan : {PlanSpec::kAckStorm, PlanSpec::kBothDark}) {
     std::set<std::uint64_t> digests;
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
       RunConfig cfg;
@@ -118,16 +118,17 @@ TEST(Explorer, StormPlansDeterministicOnSodaV2Wire) {
 TEST(Explorer, ChrysalisBackendV2Deterministic) {
   // No medium to impair on the Butterfly, so the Chrysalis "new wire"
   // (batched drains, cheap-flag fast path, consumed-notice coalescing)
-  // is explored through schedule permutation alone — with notice
-  // formation armed so the enqueue_many batching timers are in play
-  // too.  Conform + bit-identical digests, per seed, run over run.
+  // is explored through schedule permutation alone.  Conform +
+  // bit-identical digests, per seed, run over run.  Three channels give
+  // the permutation enough same-instant ties that distinct seeds reach
+  // distinct schedules; two leave only five over these ten seeds.
   std::set<std::uint64_t> digests;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     RunConfig cfg;
     cfg.substrate = load::Substrate::kChrysalis;
     cfg.tie = sim::TieBreak::kSeededPermutation;
     cfg.seed = seed;
-    cfg.formation = true;
+    cfg.channels = 3;
     const RunVerdict a = run_one(cfg);
     const RunVerdict b = run_one(cfg);
     ASSERT_TRUE(a.ok) << "seed " << seed << ": " << a.failure;
@@ -191,6 +192,29 @@ TEST(Explorer, TokensRoundTrip) {
   EXPECT_FALSE(
       parse_token(R"({"substrate":"vms","tie":"fifo","seed":1,"plan":"none"})")
           .has_value());
+}
+
+// Tokens from universes that can no longer be built must fail to
+// parse, not replay as some other universe.  RPC formation ("form")
+// and the plan that armed it ("batch-storm") were removed.
+TEST(Explorer, TokenCarryingFormationIsRejected) {
+  EXPECT_FALSE(parse_token(R"({"v":1,"substrate":"soda","tie":"perm",)"
+                           R"("seed":3,"plan":"none","form":1})")
+                   .has_value());
+  EXPECT_FALSE(parse_token(R"({"v":1,"substrate":"soda","tie":"perm",)"
+                           R"("seed":3,"plan":"none","form":0})")
+                   .has_value());
+}
+
+TEST(Explorer, BatchStormTokenIsRejected) {
+  EXPECT_FALSE(parse_token(R"({"v":1,"substrate":"soda","tie":"perm",)"
+                           R"("seed":3,"plan":"batch-storm"})")
+                   .has_value());
+  const auto renamed =
+      parse_token(R"({"v":1,"substrate":"soda","tie":"perm","seed":3,)"
+                  R"("plan":"both-dark"})");
+  ASSERT_TRUE(renamed.has_value());
+  EXPECT_EQ(renamed->plan, PlanSpec::kBothDark);
 }
 
 TEST(Explorer, SweepIsCleanAcrossSubstratesPoliciesAndPlans) {

@@ -112,11 +112,8 @@ RunResult run_universe(std::uint64_t seed,
 // A Charlotte universe under loss and duplication, exercising the ack
 // machinery end to end: retransmit timers (adaptive RTO + backoff),
 // watermark dedup of duplicated frames, owed-ack timers and piggybacked
-// acks.  `formation` additionally arms RPC formation (src/form/,
-// DESIGN.md §14): the packer's deadline timers and batch dispatch are
-// two more event sources, and a dropped frame now kills a whole Batch —
-// the digests must stay a pure function of the seed regardless.
-RunResult run_charlotte_universe(std::uint64_t seed, bool formation = false) {
+// acks.
+RunResult run_charlotte_universe(std::uint64_t seed) {
   sim::Engine e;
   trace::Recorder rec(e);
   net::TokenRing ring(e);
@@ -128,7 +125,6 @@ RunResult run_charlotte_universe(std::uint64_t seed, bool formation = false) {
   charlotte::Costs costs;
   costs.send_retransmit_timeout = sim::msec(40);
   costs.max_send_attempts = 10;
-  costs.form_delay = formation ? sim::msec(2) : sim::Duration(0);
   charlotte::Cluster cluster(e, 2, fm, costs);
 
   charlotte::Pid pa = cluster.create_process(NodeId(0));
@@ -233,9 +229,7 @@ RunResult run_chrysalis_universe(std::uint64_t seed) {
 // with a Recorder watching the whole multi-client run.  Traced load is
 // the regime where nondeterminism would hide (hundreds of interleaved
 // RPCs), so the sweep pins its digest alongside the chaos universes'.
-// With `formation` on, co-destined RPCs share wire frames — the clean
-// (lossless) counterpart of the lossy Charlotte formation universe.
-RunResult run_load_universe(std::uint64_t seed, bool formation = false) {
+RunResult run_load_universe(std::uint64_t seed) {
   load::Scenario sc;
   sc.clients = 2;
   sc.arrival = load::Arrival::kOpenPoisson;
@@ -245,7 +239,6 @@ RunResult run_load_universe(std::uint64_t seed, bool formation = false) {
   sc.measure = sim::msec(250);
   sc.drain = sim::msec(150);
   sc.seed = seed;
-  if (formation) sc.form_delay = sim::msec(2);
   load::Runner runner(load::Substrate::kSoda, sc);
   trace::Recorder rec(runner.engine());
   const load::Report r = runner.run();
@@ -261,13 +254,11 @@ RunResult run_load_universe(std::uint64_t seed, bool formation = false) {
 // one Engine each, and the only cross-engine state in src/ is the
 // thread-local callable pool.)
 struct SeedDigests {
-  RunResult chaos;      // lossy SODA, FIFO tie-break
-  RunResult perm;       // same universe, seeded-permutation tie-break
-  RunResult ch;         // lossy Charlotte
-  RunResult ch_form;    // ... with RPC formation armed
-  RunResult chry;       // Chrysalis backend
-  RunResult load;       // open-loop Poisson load on SODA
-  RunResult load_form;  // ... with RPC formation
+  RunResult chaos;  // lossy SODA, FIFO tie-break
+  RunResult perm;   // same universe, seeded-permutation tie-break
+  RunResult ch;     // lossy Charlotte
+  RunResult chry;   // Chrysalis backend
+  RunResult load;   // open-loop Poisson load on SODA
 };
 
 SeedDigests run_seed(std::uint64_t seed) {
@@ -275,10 +266,8 @@ SeedDigests run_seed(std::uint64_t seed) {
   d.chaos = run_universe(seed);
   d.perm = run_universe(seed, sim::TieBreak::kSeededPermutation);
   d.ch = run_charlotte_universe(seed);
-  d.ch_form = run_charlotte_universe(seed, /*formation=*/true);
   d.chry = run_chrysalis_universe(seed);
   d.load = run_load_universe(seed);
-  d.load_form = run_load_universe(seed, /*formation=*/true);
   return d;
 }
 
@@ -330,16 +319,6 @@ TEST(TraceDeterminism, SweepSeedsReproduceDigestsUnderAnyParallelism) {
     ASSERT_GT(a.ch.emitted, 0u) << "charlotte seed " << seed;
     distinct_charlotte.insert(a.ch.trace_digest);
 
-    // Lossy Charlotte with RPC formation armed (DESIGN.md §14): batch
-    // deadline timers, shared-frame dispatch, and whole-batch drops all
-    // ride the same seeded randomness, so the digests must still be
-    // bit-identical run over run — and the stream must actually differ
-    // from the frame-per-message wire (formation changes what the
-    // recorder sees, not just internal counters).
-    expect_same(a.ch_form, b.ch_form, "charlotte formation", seed);
-    EXPECT_NE(a.ch_form.trace_digest, a.ch.trace_digest)
-        << "formation left no mark on the stream, seed " << seed;
-
     // The Chrysalis backend universe (batched drains + consumed-notice
     // coalescing) under seeded-permutation schedule exploration.
     expect_same(a.chry, b.chry, "chrysalis", seed);
@@ -348,11 +327,6 @@ TEST(TraceDeterminism, SweepSeedsReproduceDigestsUnderAnyParallelism) {
     expect_same(a.load, b.load, "load", seed);
     ASSERT_GT(a.load.emitted, 0u) << "load seed " << seed;
     distinct_load.insert(a.load.trace_digest);
-
-    // The clean loaded universe with formation on: open-loop SODA RPCs
-    // sharing frames, double-run to the same digest.
-    expect_same(a.load_form, b.load_form, "load formation", seed);
-    ASSERT_GT(a.load_form.emitted, 0u) << "load formation seed " << seed;
   }
   // Chaos differs per seed, so the streams (almost) all differ too.
   EXPECT_GT(distinct.size(), 90u);

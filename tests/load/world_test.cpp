@@ -128,21 +128,5 @@ INSTANTIATE_TEST_SUITE_P(AllSubstrates, WorldTest,
                            return std::string(to_string(info.param));
                          });
 
-TEST(World, ChrysalisNoticeBudgetIsDerivedFromTheByteBudget) {
-  for (const auto& [bytes, notices] :
-       {std::pair<std::size_t, std::size_t>{1024, 64}, {4096, 256},
-        {100, 6}, {32, 2}, {16, 2}, {0, 2}}) {
-    sim::Engine engine;
-    WorldParams p;
-    p.form_delay = sim::msec(2);
-    p.form_max_bytes = bytes;
-    World world(engine, Substrate::kChrysalis, p);
-    const auto& backend = dynamic_cast<lynx::ChrysalisBackend&>(
-        world.make_process("p", 0).backend());
-    EXPECT_EQ(backend.params().form_max_notices, notices) << bytes;
-    EXPECT_EQ(backend.params().form_delay, sim::msec(2));
-  }
-}
-
 }  // namespace
 }  // namespace load

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "sim/random.hpp"
+
 namespace lynx {
 namespace {
 
@@ -64,6 +68,100 @@ TEST(MessageTest, PayloadSizeScalesWithContent) {
   Message large = make_message("op", {Bytes(1000, 0)});
   EXPECT_EQ(serialize(large).body.size() - serialize(small).body.size(),
             990u);
+}
+
+// ---- malformed bodies ------------------------------------------------------
+//
+// A body the decoder cannot account for byte by byte dies through the
+// one assertion path, whatever shape the damage takes.
+
+Bytes header(std::uint32_t argc) {
+  // op_len = 0, then argc, little-endian like serialize().
+  Bytes b(4, 0);
+  for (int i = 0; i < 4; ++i) {
+    b.push_back(static_cast<std::uint8_t>(argc >> (8 * i)));
+  }
+  return b;
+}
+
+TEST(MessageDeathTest, HugeArgcIsTruncationNotAnAllocation) {
+  const Bytes body = header(0xFFFFFFFFu);
+  EXPECT_DEATH((void)deserialize(body, {}), "truncated LYNX message");
+}
+
+TEST(MessageDeathTest, UnknownValueTagIsRejected) {
+  Bytes body = header(1);
+  body.push_back(7);
+  body.insert(body.end(), 8, 0);  // a payload as long as an int's
+  EXPECT_DEATH((void)deserialize(body, {}), "unknown LYNX value tag");
+}
+
+TEST(MessageDeathTest, TrailingBytesAreRejected) {
+  Bytes body = serialize(make_message("op", {std::int64_t(1)})).body;
+  body.push_back(0);
+  EXPECT_DEATH((void)deserialize(body, {}), "trailing bytes after LYNX message");
+}
+
+// ---- round-trip property -----------------------------------------------------
+
+Value random_value(sim::Rng& rng, std::uint64_t* next_link) {
+  switch (rng.next_below(5)) {
+    case 0:
+      return static_cast<std::int64_t>(rng.next_u64());
+    case 1: {
+      // Any bit pattern, NaNs and infinities included.
+      const std::uint64_t bits = rng.next_u64();
+      double d;
+      std::memcpy(&d, &bits, 8);
+      return d;
+    }
+    case 2: {
+      std::string str(rng.next_below(40), '\0');
+      for (char& c : str) c = static_cast<char>(rng.next_below(256));
+      return str;
+    }
+    case 3: {
+      Bytes b(rng.next_below(300));
+      for (auto& x : b) x = static_cast<std::uint8_t>(rng.next_below(256));
+      return b;
+    }
+    default:
+      return LinkHandle((*next_link)++);
+  }
+}
+
+bool same_value(const Value& a, const Value& b) {
+  if (a.index() != b.index()) return false;
+  if (const auto* d = std::get_if<double>(&a)) {
+    return std::memcmp(d, &std::get<double>(b), sizeof(double)) == 0;
+  }
+  return a == b;
+}
+
+TEST(MessageTest, SeededRoundTripPropertyOverEveryValueType) {
+  sim::Rng rng(2026);
+  std::uint64_t next_link = 1;
+  bool seen[5] = {};
+  for (int n = 0; n < 1500; ++n) {
+    Message m;
+    m.op.assign(rng.next_below(12), 'a');
+    for (char& c : m.op) c = static_cast<char>('a' + rng.next_below(26));
+    const std::uint64_t argc = rng.next_below(9);
+    for (std::uint64_t i = 0; i < argc; ++i) {
+      m.args.push_back(random_value(rng, &next_link));
+      seen[m.args.back().index()] = true;
+    }
+    const Serialized s = serialize(m);
+    ASSERT_EQ(s.enclosures.size(), m.count_links()) << "message " << n;
+    const Message back = deserialize(s.body, s.enclosures);
+    ASSERT_EQ(back.op, m.op) << "message " << n;
+    ASSERT_EQ(back.args.size(), m.args.size()) << "message " << n;
+    for (std::size_t i = 0; i < m.args.size(); ++i) {
+      ASSERT_TRUE(same_value(back.args[i], m.args[i]))
+          << "message " << n << " arg " << i;
+    }
+  }
+  for (const bool type_seen : seen) EXPECT_TRUE(type_seen);
 }
 
 }  // namespace
