@@ -34,7 +34,7 @@ double charlotte_rpc_ms(std::size_t bytes, net::TokenRingParams ring,
   engine.spawn("wire", [](lynx::Process* s, lynx::Process* c,
                           lynx::LinkHandle* a,
                           lynx::LinkHandle* b) -> sim::Task<> {
-    auto [x, y] = co_await lynx::CharlotteBackend::connect(*s, *c);
+    auto [x, y] = co_await lynx::connect_any(*s, *c);
     *a = x;
     *b = y;
   }(&server, &client, &se, &ce));
@@ -73,7 +73,7 @@ double soda_rpc_ms(std::size_t bytes, std::size_t mtu) {
   engine.spawn("wire", [](lynx::Process* s, lynx::Process* c,
                           lynx::LinkHandle* a,
                           lynx::LinkHandle* b) -> sim::Task<> {
-    auto [x, y] = co_await lynx::SodaBackend::connect(*s, *c);
+    auto [x, y] = co_await lynx::connect_any(*s, *c);
     *a = x;
     *b = y;
   }(&server, &client, &se, &ce));

@@ -78,13 +78,13 @@ ChainResult run_chain(int hops, std::size_t cache_capacity,
                           std::vector<LinkHandle>* xi, LinkHandle* lm,
                           LinkHandle* lu, int n) -> sim::Task<> {
     for (int i = 0; i < n; ++i) {
-      auto [a, b] = co_await lynx::SodaBackend::connect(
+      auto [a, b] = co_await lynx::connect_any(
           *(*ch)[static_cast<std::size_t>(i)],
           *(*ch)[static_cast<std::size_t>(i) + 1]);
       (*xo)[static_cast<std::size_t>(i)] = a;
       (*xi)[static_cast<std::size_t>(i)] = b;
     }
-    auto [m, u] = co_await lynx::SodaBackend::connect(*(*ch)[0], *usr);
+    auto [m, u] = co_await lynx::connect_any(*(*ch)[0], *usr);
     *lm = m;
     *lu = u;
   }(&chain, &user, &xfer_out, &xfer_in, &l_mover, &l_user, hops));

@@ -136,10 +136,10 @@ int main() {
   engine.spawn("wire", [](lynx::Process* s, lynx::Process* a,
                           lynx::Process* b, LinkHandle* o1, LinkHandle* o2,
                           LinkHandle* o3, LinkHandle* o4) -> sim::Task<> {
-    auto [x1, y1] = co_await lynx::CharlotteBackend::connect(*s, *a);
+    auto [x1, y1] = co_await lynx::connect_any(*s, *a);
     *o1 = x1;
     *o2 = y1;
-    auto [x2, y2] = co_await lynx::CharlotteBackend::connect(*s, *b);
+    auto [x2, y2] = co_await lynx::connect_any(*s, *b);
     *o3 = x2;
     *o4 = y2;
   }(&server, &alice, &bob, &s_alice, &c_alice, &s_bob, &c_bob));

@@ -94,13 +94,13 @@ int main() {
                           LinkHandle* o1, LinkHandle* o2, LinkHandle* o3,
                           LinkHandle* o4, LinkHandle* o5,
                           LinkHandle* o6) -> sim::Task<> {
-    auto [x1, y1] = co_await lynx::CharlotteBackend::connect(*pa, *pb);
+    auto [x1, y1] = co_await lynx::connect_any(*pa, *pb);
     *o1 = x1;
     *o2 = y1;
-    auto [x2, y2] = co_await lynx::CharlotteBackend::connect(*pd, *pc);
+    auto [x2, y2] = co_await lynx::connect_any(*pd, *pc);
     *o3 = x2;
     *o4 = y2;
-    auto [x3, y3] = co_await lynx::CharlotteBackend::connect(*pa, *pd);
+    auto [x3, y3] = co_await lynx::connect_any(*pa, *pd);
     *o5 = x3;
     *o6 = y3;
   }(a.get(), b.get(), c.get(), d.get(), &l1a, &l1b, &l2d, &l2c, &l3a, &l3d));

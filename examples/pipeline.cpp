@@ -157,7 +157,7 @@ int main() {
                           std::vector<LinkHandle>* cc,
                           std::vector<LinkHandle>* sc) -> sim::Task<> {
     for (std::size_t i = 0; i < ss->size(); ++i) {
-      auto [a, b] = co_await lynx::SodaBackend::connect(*c, *(*ss)[i]);
+      auto [a, b] = co_await lynx::connect_any(*c, *(*ss)[i]);
       (*cc)[i] = a;
       (*sc)[i] = b;
     }

@@ -59,7 +59,7 @@ sim::Task<> client_thread(ThreadCtx& ctx, LinkHandle link) {
 
 sim::Task<> wire(lynx::Process* s, lynx::Process* c, LinkHandle* se,
                  LinkHandle* ce) {
-  auto [a, b] = co_await lynx::ChrysalisBackend::connect(*s, *c);
+  auto [a, b] = co_await lynx::connect_any(*s, *c);
   *se = a;
   *ce = b;
 }

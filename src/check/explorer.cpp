@@ -486,6 +486,11 @@ RunConfig shrink(const RunConfig& failing, std::uint64_t* runs) {
 
 // ---- the sweep -------------------------------------------------------
 
+std::vector<load::Substrate> all_substrates() {
+  const auto all = load::all_substrates();
+  return {all.begin(), all.end()};
+}
+
 ExploreResult explore(const ExploreOptions& opts) {
   // Phase 1: materialize the cross product in its historical loop
   // order.  The list, not the loop nest, is what runs — sequentially or

@@ -134,10 +134,11 @@ struct FailureReport {
   [[nodiscard]] std::string token() const { return to_json(minimized); }
 };
 
+// Every substrate, in load::all_substrates() order.
+[[nodiscard]] std::vector<load::Substrate> all_substrates();
+
 struct ExploreOptions {
-  std::vector<load::Substrate> substrates = {load::Substrate::kCharlotte,
-                                             load::Substrate::kSoda,
-                                             load::Substrate::kChrysalis};
+  std::vector<load::Substrate> substrates = all_substrates();
   std::vector<sim::TieBreak> policies = {sim::TieBreak::kFifo,
                                          sim::TieBreak::kSeededPermutation};
   std::uint64_t seeds = 100;

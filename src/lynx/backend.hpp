@@ -16,6 +16,7 @@
 
 #include "common/strong_id.hpp"
 #include "lynx/message.hpp"
+#include "net/packet.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
 
@@ -110,22 +111,38 @@ struct Capabilities {
   bool detects_all_exceptions = false;               // (4)
 };
 
+// The machinery every backend shares lives here, once: the lifecycle
+// (start/shutdown), the upcalls to the runtime, the shutdown drain and
+// the trace node.  A substrate supplies its protocol through the
+// virtuals — the pump that serves its kernel, the teardown, the
+// "still unsettled" predicate the drain waits on, and the bootstrap.
 class Backend {
  public:
   using Sink = std::function<void(BackendEvent)>;
 
+  Backend(sim::Engine& engine, net::NodeId node);
+  Backend(const Backend&) = delete;
+  Backend& operator=(const Backend&) = delete;
   virtual ~Backend() = default;
 
   [[nodiscard]] virtual std::string kernel_name() const = 0;
   [[nodiscard]] virtual Capabilities capabilities() const = 0;
 
-  // Installs the event sink and starts internal pumps.
-  virtual void start(Sink sink) = 0;
-  // Destroys every link still attached (normal exit and crash alike).
-  virtual void shutdown() = 0;
+  // Installs the event sink and spawns pump().  Once per backend.
+  void start(Sink sink);
+  // Destroys every link still attached (normal exit and crash alike):
+  // drains, then runs perform_shutdown().  Later calls are no-ops.
+  void shutdown();
 
   // Creates a link with both ends owned by this process.
   [[nodiscard]] virtual sim::Task<std::pair<BLink, BLink>> make_link() = 0;
+
+  // Loader fiat: a fresh link between this backend's process and
+  // `peer`'s, as (our end, peer's end).  connect_any calls it only with
+  // a peer of the same dynamic type; the default knows no substrate and
+  // throws LynxError(kInvalidLink).
+  [[nodiscard]] virtual sim::Task<std::pair<BLink, BLink>> bootstrap_link(
+      Backend& peer);
 
   // Begins transmission of a request or reply.  The runtime guarantees
   // at most one send in flight per link end.
@@ -141,7 +158,8 @@ class Backend {
   // be able to tell the server (capability 4).
   virtual void retract_reply_interest(BLink link) = 0;
 
-  // Destroys one end (and so the link).
+  // Destroys one end (and so the link).  A send still pending on it
+  // settles kLinkDestroyed.
   [[nodiscard]] virtual sim::Task<void> destroy(BLink link) = 0;
 
   // Instrumentation for the experiments: kernel-level messages/frames
@@ -150,7 +168,53 @@ class Backend {
 
   // The simulated node this backend's process lives on, for trace
   // records (one Perfetto track group per node).
-  [[nodiscard]] virtual std::uint32_t trace_node() const { return 0; }
+  [[nodiscard]] std::uint32_t trace_node() const { return node_.value(); }
+
+ protected:
+  // Early reply resolve (DESIGN.md §12): an enclosure-free reply settles
+  // kDelivered once the substrate holds it, not when it is consumed.
+  // The paper never tells a server its reply's fate (§3.2), so waiting
+  // buys no semantics; requests (screening may bounce them) and
+  // enclosure-bearing messages (the move must commit) still wait.
+  [[nodiscard]] static bool resolves_early(MsgKind kind,
+                                           std::size_t enclosures) {
+    return kind == MsgKind::kReply && enclosures == 0;
+  }
+
+  [[nodiscard]] sim::Engine& engine() const { return *engine_; }
+  [[nodiscard]] net::NodeId node() const { return node_; }
+  // A fresh token for an end this process now holds.
+  [[nodiscard]] BLink next_blink() { return blink_ids_.next(); }
+
+  // The substrate's event loop; serves while serving() holds.
+  [[nodiscard]] virtual sim::Task<> pump() = 0;
+  // The substrate's teardown, once the drain is over.
+  [[nodiscard]] virtual sim::Task<> perform_shutdown() = 0;
+  // True while a send the runtime counts as settled (an early-resolved
+  // reply) still needs the substrate: shutdown waits until false.
+  [[nodiscard]] virtual bool has_unsettled() const { return false; }
+
+  // Running, or shut down but still draining.
+  [[nodiscard]] bool serving() const { return running_ || draining_; }
+  // Call after anything that may settle a send: wakes the drain.
+  void note_drain_progress();
+
+  // Upcalls into the runtime.
+  void upcall_arrival(BLink link, MsgKind kind, Bytes body,
+                      std::vector<BLink> enclosures, std::uint64_t trace);
+  void upcall_destroyed(BLink link);
+
+ private:
+  [[nodiscard]] sim::Task<> drain_then_shut_down();
+
+  sim::Engine* engine_;
+  net::NodeId node_;
+  Sink sink_;
+  bool running_ = false;
+  // Shutdown was asked for but has_unsettled() still holds.
+  bool draining_ = false;
+  sim::WaitList drained_;
+  common::IdAllocator<BLink> blink_ids_;
 };
 
 }  // namespace lynx

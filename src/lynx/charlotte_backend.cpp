@@ -38,19 +38,11 @@ bool link_gone(charlotte::Status st) {
 
 CharlotteBackend::CharlotteBackend(charlotte::Cluster& cluster,
                                    net::NodeId node)
-    : cluster_(&cluster),
-      node_(node),
-      pid_(cluster.create_process(node)),
-      drained_(cluster.engine()) {}
+    : Backend(cluster.engine(), node),
+      cluster_(&cluster),
+      pid_(cluster.create_process(node)) {}
 
 CharlotteBackend::~CharlotteBackend() = default;
-
-void CharlotteBackend::start(Sink sink) {
-  RELYNX_ASSERT_MSG(!running_, "backend started twice");
-  sink_ = std::move(sink);
-  running_ = true;
-  cluster_->engine().spawn("charlotte-pump", pump());
-}
 
 CharlotteBackend::CLink* CharlotteBackend::find(BLink token) {
   auto it = links_.find(token);
@@ -63,7 +55,7 @@ CharlotteBackend::CLink* CharlotteBackend::find_by_end(charlotte::EndId end) {
 }
 
 BLink CharlotteBackend::adopt_end(charlotte::EndId end) {
-  const BLink token = blink_ids_.next();
+  const BLink token = next_blink();
   CLink link;
   link.token = token;
   link.end = end;
@@ -73,7 +65,7 @@ BLink CharlotteBackend::adopt_end(charlotte::EndId end) {
 }
 
 sim::Task<std::pair<BLink, BLink>> CharlotteBackend::make_link() {
-  auto result = co_await cluster_->kernel(node_).make_link(pid_);
+  auto result = co_await cluster_->kernel(node()).make_link(pid_);
   RELYNX_ASSERT_MSG(result.ok(), "MakeLink failed");
   co_return std::pair(adopt_end(result.value().end1),
                       adopt_end(result.value().end2));
@@ -104,7 +96,7 @@ std::unique_ptr<PendingSend> CharlotteBackend::begin_send(BLink token,
                                                           WireMessage msg) {
   const std::uint64_t id = next_out_id_++;
   auto ps = std::make_unique<PendingSend>(
-      cluster_->engine(), [this, id](PendingSend&) { request_cancel(id); });
+      engine(), [this, id](PendingSend&) { request_cancel(id); });
   OutMsg out;
   out.id = id;
   out.link = token;
@@ -163,15 +155,13 @@ void CharlotteBackend::start_next_out(CLink& link) {
 }
 
 void CharlotteBackend::queue_ksend(CLink& link, KSend ks) {
-  if (auto* rec = trace::get(cluster_->engine())) {
-    rec->instant(node_.value(), "backend",
+  if (auto* rec = trace::get(engine())) {
+    rec->instant(trace_node(), "backend",
                  ptype_label(static_cast<std::uint8_t>(ks.ptype)), ks.trace,
                  ks.out_id, ks.payload.size());
   }
   link.ksend_queue.push_back(std::move(ks));
-  if (!link.kernel_send_busy) {
-    cluster_->engine().spawn("charlotte-ksend", run_ksend(link.token));
-  }
+  kick_ksend(link);
 }
 
 sim::Task<> CharlotteBackend::run_ksend(BLink token) {
@@ -184,26 +174,20 @@ sim::Task<> CharlotteBackend::run_ksend(BLink token) {
   const std::uint64_t sent_out_id = ks.out_id;
   const PType sent_ptype = ks.ptype;
   ++stats_.packets_sent;
-  charlotte::Status st = co_await cluster_->kernel(node_).send(
+  charlotte::Status st = co_await cluster_->kernel(node()).send(
       pid_, link->end, ks.payload, ks.enclosure, ks.trace);
   if (st == charlotte::Status::kOk) {
-    // Fast path (DESIGN.md §12): a single-packet reply is "delivered"
-    // from LYNX's point of view the moment the kernel accepts it.  The
-    // paper already rules out telling a server about its reply's fate —
-    // a caller that aborted is never reported (§3.2, deviation two), and
-    // a top-level ack for replies would cost +50% traffic — so waiting
-    // for the kernel-level MsgAck bought no semantics; it only kept the
-    // server thread blocked for the ack round trip.  Requests (their
-    // RETRY/FORBID screening needs the ack to sequence last_request) and
-    // enclosure-bearing packets (the handoff must commit) still wait.
+    // Early reply resolve: the kernel holds the reply once it accepts
+    // the send, so the MsgAck round trip would only block the server.
     if (sent_ptype == PType::kReply && sent_out_id != 0) {
       link = find(token);
       if (link != nullptr && !link->destroyed && link->kernel_send_busy &&
           !link->ksend_queue.empty() &&
           link->ksend_queue.front().out_id == sent_out_id) {
         auto it = out_msgs_.find(sent_out_id);
-        if (it != out_msgs_.end() && it->second.kind == MsgKind::kReply &&
-            it->second.enclosure_ends.empty()) {
+        if (it != out_msgs_.end() &&
+            resolves_early(it->second.kind,
+                           it->second.enclosure_ends.size())) {
           resolve(it->second, SendOutcome{SendResult::kDelivered, {}});
         }
       }
@@ -217,8 +201,8 @@ sim::Task<> CharlotteBackend::run_ksend(BLink token) {
   if (!link->ksend_queue.empty()) link->ksend_queue.pop_front();
   if (link_gone(st)) {
     fail_link(*link);
-  } else if (!link->ksend_queue.empty()) {
-    cluster_->engine().spawn("charlotte-ksend", run_ksend(token));
+  } else {
+    kick_ksend(*link);
   }
   note_drain_progress();
 }
@@ -227,9 +211,9 @@ sim::Task<> CharlotteBackend::run_ksend(BLink token) {
 
 sim::Task<> CharlotteBackend::pump() {
   for (;;) {
-    if (!running_ && !draining_) break;
-    charlotte::Completion c = co_await cluster_->kernel(node_).wait(pid_);
-    if (!running_ && !draining_) break;
+    if (!serving()) break;
+    charlotte::Completion c = co_await cluster_->kernel(node()).wait(pid_);
+    if (!serving()) break;
     if (!c.end.valid()) break;  // shutdown poison
     if (c.direction == charlotte::Direction::kSend) {
       dispatch_send_done(c);
@@ -270,7 +254,7 @@ void CharlotteBackend::dispatch_send_done(const charlotte::Completion& c) {
       }
     }
     start_next_out(*link);
-    drain(*link);
+    kick_ksend(*link);
     return;
   }
   RELYNX_ASSERT(c.status == charlotte::Status::kOk);
@@ -311,12 +295,12 @@ void CharlotteBackend::dispatch_send_done(const charlotte::Completion& c) {
       }
     }
   }
-  drain(*link);
+  kick_ksend(*link);
 }
 
-void CharlotteBackend::drain(CLink& link) {
+void CharlotteBackend::kick_ksend(CLink& link) {
   if (!link.kernel_send_busy && !link.ksend_queue.empty()) {
-    cluster_->engine().spawn("charlotte-ksend", run_ksend(link.token));
+    engine().spawn("charlotte-ksend", run_ksend(link.token));
   }
 }
 
@@ -506,14 +490,8 @@ void CharlotteBackend::deliver(CLink& link, MsgKind kind, Bytes body,
     out_msgs_.erase(link.last_request);
     link.last_request = 0;
   }
-  BackendEvent ev;
-  ev.kind = kind == MsgKind::kRequest ? BackendEvent::Kind::kRequestArrived
-                                      : BackendEvent::Kind::kReplyArrived;
-  ev.link = link.token;
-  ev.body = std::move(body);
-  ev.enclosures = std::move(enclosures);
-  ev.trace = trace;
-  if (sink_) sink_(ev);
+  upcall_arrival(link.token, kind, std::move(body), std::move(enclosures),
+                 trace);
 }
 
 // ===================== receive posting & screening =====================
@@ -531,9 +509,9 @@ void CharlotteBackend::update_receive_posting(CLink& link) {
                     link.assembly.has_value();
   if (need && !link.recv_posted) {
     link.recv_posted = true;
-    cluster_->engine().spawn("charlotte-recv", post_receive(link.token));
+    engine().spawn("charlotte-recv", post_receive(link.token));
   } else if (!need && link.recv_posted) {
-    cluster_->engine().spawn("charlotte-cancel-recv",
+    engine().spawn("charlotte-cancel-recv",
                              cancel_receive(link.token));
   }
   maybe_send_allow(link);
@@ -542,7 +520,7 @@ void CharlotteBackend::update_receive_posting(CLink& link) {
 sim::Task<> CharlotteBackend::post_receive(BLink token) {
   CLink* link = find(token);
   if (link == nullptr || link->destroyed) co_return;
-  charlotte::Status st = co_await cluster_->kernel(node_).receive(
+  charlotte::Status st = co_await cluster_->kernel(node()).receive(
       pid_, link->end, kMaxReceive);
   link = find(token);
   if (link == nullptr) co_return;
@@ -558,7 +536,7 @@ sim::Task<> CharlotteBackend::post_receive(BLink token) {
 sim::Task<> CharlotteBackend::cancel_receive(BLink token) {
   CLink* link = find(token);
   if (link == nullptr || link->destroyed || !link->recv_posted) co_return;
-  charlotte::Status st = co_await cluster_->kernel(node_).cancel(
+  charlotte::Status st = co_await cluster_->kernel(node()).cancel(
       pid_, link->end, charlotte::Direction::kReceive);
   link = find(token);
   if (link == nullptr) co_return;
@@ -632,7 +610,7 @@ void CharlotteBackend::request_cancel(std::uint64_t out_id) {
     return;
   }
   if (link->active_out == out_id) {
-    cluster_->engine().spawn("charlotte-cancel-send",
+    engine().spawn("charlotte-cancel-send",
                              issue_cancel(out.link));
     return;
   }
@@ -648,16 +626,14 @@ void CharlotteBackend::request_cancel(std::uint64_t out_id) {
 sim::Task<> CharlotteBackend::issue_cancel(BLink token) {
   CLink* link = find(token);
   if (link == nullptr || link->destroyed) co_return;
-  (void)co_await cluster_->kernel(node_).cancel(pid_, link->end,
+  (void)co_await cluster_->kernel(node()).cancel(pid_, link->end,
                                                 charlotte::Direction::kSend);
   // Outcome arrives as a kCancelled send completion if we won; if we
   // lost, the normal ACK resolves kDelivered and any enclosures are
   // gone with the message (the paper's loss window).
 }
 
-void CharlotteBackend::fail_link(CLink& link) {
-  if (link.destroyed) return;
-  link.destroyed = true;
+void CharlotteBackend::fail_sends(CLink& link) {
   auto fail_out = [&](std::uint64_t id) {
     auto it = out_msgs_.find(id);
     if (it == out_msgs_.end()) return;
@@ -675,30 +651,27 @@ void CharlotteBackend::fail_link(CLink& link) {
     out_msgs_.erase(link.last_request);
     link.last_request = 0;
   }
-  BackendEvent ev;
-  ev.kind = BackendEvent::Kind::kLinkDestroyed;
-  ev.link = link.token;
-  if (sink_) sink_(ev);
+}
+
+void CharlotteBackend::fail_link(CLink& link) {
+  if (link.destroyed) return;
+  link.destroyed = true;
+  fail_sends(link);
+  upcall_destroyed(link.token);
 }
 
 sim::Task<void> CharlotteBackend::destroy(BLink token) {
   CLink* link = find(token);
   if (link == nullptr) co_return;
   const charlotte::EndId end = link->end;
+  fail_sends(*link);
   link->destroyed = true;
   by_end_.erase(end);
   links_.erase(token);
-  (void)co_await cluster_->kernel(node_).destroy(pid_, end);
+  (void)co_await cluster_->kernel(node()).destroy(pid_, end);
 }
 
-void CharlotteBackend::shutdown() {
-  if (!running_) return;
-  running_ = false;
-  draining_ = true;
-  cluster_->engine().spawn("charlotte-shutdown", perform_shutdown());
-}
-
-bool CharlotteBackend::has_unsettled_ksends() const {
+bool CharlotteBackend::has_unsettled() const {
   for (const auto& [token, link] : links_) {
     if (link.destroyed) continue;
     if (link.kernel_send_busy || !link.ksend_queue.empty()) return true;
@@ -706,22 +679,7 @@ bool CharlotteBackend::has_unsettled_ksends() const {
   return false;
 }
 
-void CharlotteBackend::note_drain_progress() {
-  if (draining_ && !has_unsettled_ksends()) drained_.wake_all();
-}
-
 sim::Task<> CharlotteBackend::perform_shutdown() {
-  // "Before terminating, each process destroys all of its links" (§2.1)
-  // — but destruction must not outrun delivery.  With the reply fast
-  // path a server thread can exit while its final reply is still in a
-  // kernel send (possibly mid-retransmission under loss); yanking the
-  // links down at that instant would race the delivery the caller is
-  // blocked on.  Drain accepted kernel sends first; the pump keeps
-  // dispatching completions while draining_ is set.  If a send can
-  // never settle (lossy medium, retransmission disabled) this parks
-  // forever — exactly as a thread blocked in reply() would.
-  while (has_unsettled_ksends()) co_await drained_.wait();
-  draining_ = false;
   // Process termination destroys all links (the kernel guarantees this
   // for real termination; we do it explicitly, then poison the pump).
   cluster_->terminate(pid_);
@@ -732,18 +690,13 @@ sim::Task<> CharlotteBackend::perform_shutdown() {
 
 // ===================== bootstrap =====================
 
-sim::Task<std::pair<LinkHandle, LinkHandle>> CharlotteBackend::connect(
-    Process& a, Process& b) {
-  auto* ba = dynamic_cast<CharlotteBackend*>(&a.backend());
-  auto* bb = dynamic_cast<CharlotteBackend*>(&b.backend());
-  RELYNX_ASSERT_MSG(ba != nullptr && bb != nullptr,
-                    "connect requires Charlotte backends");
-  RELYNX_ASSERT_MSG(ba->cluster_ == bb->cluster_, "same Crystal required");
-  charlotte::LinkPair pair =
-      ba->cluster_->bootstrap_link(ba->pid_, bb->pid_);
-  const BLink ta = ba->adopt_end(pair.end1);
-  const BLink tb = bb->adopt_end(pair.end2);
-  co_return std::pair(a.adopt_link(ta), b.adopt_link(tb));
+sim::Task<std::pair<BLink, BLink>> CharlotteBackend::bootstrap_link(
+    Backend& peer) {
+  auto& other = static_cast<CharlotteBackend&>(peer);
+  RELYNX_ASSERT_MSG(cluster_ == other.cluster_, "same Crystal required");
+  const charlotte::LinkPair pair = cluster_->bootstrap_link(pid_, other.pid_);
+  const BLink mine = adopt_end(pair.end1);
+  co_return std::pair(mine, other.adopt_end(pair.end2));
 }
 
 std::unique_ptr<CharlotteBackend> make_charlotte_backend(

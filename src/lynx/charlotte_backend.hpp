@@ -34,7 +34,6 @@
 
 #include "charlotte/kernel.hpp"
 #include "lynx/backend.hpp"
-#include "lynx/runtime.hpp"
 
 namespace lynx {
 
@@ -55,9 +54,9 @@ class CharlotteBackend final : public Backend {
     };
   }
 
-  void start(Sink sink) override;
-  void shutdown() override;
   [[nodiscard]] sim::Task<std::pair<BLink, BLink>> make_link() override;
+  [[nodiscard]] sim::Task<std::pair<BLink, BLink>> bootstrap_link(
+      Backend& peer) override;
   [[nodiscard]] std::unique_ptr<PendingSend> begin_send(
       BLink link, WireMessage msg) override;
   void set_interest(BLink link, bool want_requests,
@@ -67,10 +66,6 @@ class CharlotteBackend final : public Backend {
   [[nodiscard]] std::uint64_t protocol_messages() const override {
     return stats_.packets_sent;
   }
-  [[nodiscard]] std::uint32_t trace_node() const override {
-    return node_.value();
-  }
-
   [[nodiscard]] charlotte::Pid pid() const { return pid_; }
 
   // ---- protocol statistics (experiments E2/E4/E9) ----------------------
@@ -88,10 +83,6 @@ class CharlotteBackend final : public Backend {
     std::uint64_t enclosures_lost = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
-
-  // Bootstrap: wire two processes together (loader fiat).
-  [[nodiscard]] static sim::Task<std::pair<LinkHandle, LinkHandle>> connect(
-      Process& a, Process& b);
 
  private:
   enum class PType : std::uint8_t {
@@ -161,7 +152,11 @@ class CharlotteBackend final : public Backend {
     std::optional<Assembly> assembly;
   };
 
-  [[nodiscard]] sim::Task<> pump();
+  [[nodiscard]] sim::Task<> pump() override;
+  [[nodiscard]] sim::Task<> perform_shutdown() override;
+  // True while some kernel send is accepted-but-unsettled (or queued)
+  // on a live link: the shutdown drain waits these out.
+  [[nodiscard]] bool has_unsettled() const override;
   void dispatch_receive(const charlotte::Completion& c);
   void dispatch_send_done(const charlotte::Completion& c);
   void on_incoming(CLink& link, PType ptype, std::uint8_t enc_total,
@@ -171,7 +166,8 @@ class CharlotteBackend final : public Backend {
                std::vector<BLink> enclosures, std::uint64_t trace);
   void start_next_out(CLink& link);
   void queue_ksend(CLink& link, KSend ks);
-  void drain(CLink& link);
+  // Starts the next queued kernel send unless one is in flight.
+  void kick_ksend(CLink& link);
   void request_cancel(std::uint64_t out_id);
   [[nodiscard]] sim::Task<> run_ksend(BLink token);
   void update_receive_posting(CLink& link);
@@ -180,30 +176,19 @@ class CharlotteBackend final : public Backend {
   [[nodiscard]] sim::Task<> issue_cancel(BLink token);
   void maybe_send_allow(CLink& link);
   void resolve(OutMsg& out, SendOutcome outcome);
+  // Settles the link's LYNX sends kLinkDestroyed and forgets them.
+  void fail_sends(CLink& link);
   void fail_link(CLink& link);
   [[nodiscard]] CLink* find(BLink token);
   [[nodiscard]] CLink* find_by_end(charlotte::EndId end);
   [[nodiscard]] BLink adopt_end(charlotte::EndId end);
-  [[nodiscard]] sim::Task<> perform_shutdown();
-  // True while some kernel send is accepted-but-unsettled (or queued)
-  // on a live link; shutdown drains these before destroying links.
-  [[nodiscard]] bool has_unsettled_ksends() const;
-  void note_drain_progress();
 
   charlotte::Cluster* cluster_;
-  net::NodeId node_;
   charlotte::Pid pid_;
-  Sink sink_;
-  bool running_ = false;
-  // Shutdown has been requested but kernel sends are still settling;
-  // the pump keeps dispatching completions until the drain finishes.
-  bool draining_ = false;
-  sim::WaitList drained_;
 
   std::unordered_map<BLink, CLink> links_;
   std::unordered_map<charlotte::EndId, BLink> by_end_;
   std::unordered_map<std::uint64_t, OutMsg> out_msgs_;
-  common::IdAllocator<BLink> blink_ids_;
   std::uint64_t next_out_id_ = 1;
   Stats stats_;
 };

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "lynx/errors.hpp"
 #include "trace/trace.hpp"
 
 namespace lynx {
@@ -139,11 +140,11 @@ DecodedBuffer decode_buffer(const Bytes& raw) {
 ChrysalisBackend::ChrysalisBackend(chrysalis::Kernel& kernel,
                                    net::NodeId node,
                                    ChrysalisBackendParams params)
-    : kernel_(&kernel),
-      node_(node),
+    : Backend(kernel.engine(), node),
+      kernel_(&kernel),
       params_(params),
       pid_(kernel.create_process(node)),
-      ready_(std::make_unique<sim::Gate>(kernel.engine())) {}
+      ready_(kernel.engine()) {}
 
 ChrysalisBackend::~ChrysalisBackend() {
   for (auto& [token, rec] : links_) rec.consumed_timer.cancel();
@@ -164,13 +165,6 @@ std::size_t ChrysalisBackend::object_size() const {
   return kOffSlots + 4 * (4 + params_.max_message_bytes);
 }
 
-void ChrysalisBackend::start(Sink sink) {
-  RELYNX_ASSERT_MSG(!running_, "backend started twice");
-  sink_ = std::move(sink);
-  running_ = true;
-  kernel_->engine().spawn("chrysalis-pump", pump());
-}
-
 sim::Task<> ChrysalisBackend::pump() {
   // One dual queue + one event block per process (paper §5.2 opening).
   {
@@ -180,8 +174,7 @@ sim::Task<> ChrysalisBackend::pump() {
     auto ev = co_await kernel_->make_event(pid_);
     RELYNX_ASSERT(ev.ok());
     my_event_ = ev.value();
-    comm_ready_ = true;
-    ready_->open();
+    ready_.open();
   }
   for (;;) {
     // Batched drain: one dequeue_many dispatch services every ready
@@ -242,9 +235,15 @@ ChrysalisBackend::LinkRec* ChrysalisBackend::find(BLink link) {
   return it == links_.end() ? nullptr : &it->second;
 }
 
-void ChrysalisBackend::index_link(const LinkRec& rec) {
-  auto& sides = by_obj_[rec.obj];
-  sides[rec.side] = rec.token;
+BLink ChrysalisBackend::adopt_end(chrysalis::MemId obj, std::uint8_t side) {
+  const BLink token = next_blink();
+  LinkRec rec;
+  rec.token = token;
+  rec.obj = obj;
+  rec.side = side;
+  links_.emplace(token, std::move(rec));
+  by_obj_[obj][side] = token;
+  return token;
 }
 
 void ChrysalisBackend::unindex_link(const LinkRec& rec) {
@@ -255,7 +254,7 @@ void ChrysalisBackend::unindex_link(const LinkRec& rec) {
 }
 
 sim::Task<std::pair<BLink, BLink>> ChrysalisBackend::make_link() {
-  while (!comm_ready_) co_await ready_->wait();
+  co_await ready_.wait();
   auto obj = co_await kernel_->make_object(pid_, object_size());
   RELYNX_ASSERT(obj.ok());
   // Both sides' dual-queue names start as ours.
@@ -263,13 +262,8 @@ sim::Task<std::pair<BLink, BLink>> ChrysalisBackend::make_link() {
                                   static_cast<std::uint32_t>(my_dq_.value()));
   (void)co_await kernel_->write32(pid_, obj.value(), kOffDqB,
                                   static_cast<std::uint32_t>(my_dq_.value()));
-  const BLink a = blink_ids_.next();
-  const BLink b = blink_ids_.next();
-  links_.emplace(a, make_rec(a, obj.value(), 0));
-  links_.emplace(b, make_rec(b, obj.value(), 1));
-  index_link(links_.at(a));
-  index_link(links_.at(b));
-  co_return std::pair(a, b);
+  const BLink a = adopt_end(obj.value(), 0);
+  co_return std::pair(a, adopt_end(obj.value(), 1));
 }
 
 std::unique_ptr<PendingSend> ChrysalisBackend::begin_send(BLink link,
@@ -287,11 +281,11 @@ std::unique_ptr<PendingSend> ChrysalisBackend::begin_send(BLink link,
   }
   const MsgKind kind = msg.kind;
   auto ps = std::make_unique<PendingSend>(
-      kernel_->engine(), [this, link, kind](PendingSend& self) {
-        kernel_->engine().spawn("chrysalis-cancel",
+      engine(), [this, link, kind](PendingSend& self) {
+        engine().spawn("chrysalis-cancel",
                                 perform_cancel(link, kind, &self));
       });
-  kernel_->engine().spawn("chrysalis-send",
+  engine().spawn("chrysalis-send",
                           perform_send(link, std::move(msg), ps.get()));
   return ps;
 }
@@ -314,8 +308,8 @@ sim::Task<> ChrysalisBackend::perform_send(BLink link, WireMessage msg,
   if (msg.kind == MsgKind::kReply && rec->consumed_owed) {
     rec->consumed_timer.cancel();
     rec->consumed_owed = false;
-    if (auto* trec = trace::get(kernel_->engine())) {
-      trec->instant(node_.value(), "backend", "notice.piggyback",
+    if (auto* trec = trace::get(engine())) {
+      trec->instant(trace_node(), "backend", "notice.piggyback",
                     rec->consumed_trace,
                     static_cast<std::uint64_t>(rec->consumed_slot), 0);
     }
@@ -354,8 +348,8 @@ sim::Task<> ChrysalisBackend::perform_send(BLink link, WireMessage msg,
   std::memcpy(framed.data(), &frame_len, 4);
   std::copy(buf.begin(), buf.end(), framed.begin() + 4);
   (void)co_await kernel_->block_write(pid_, obj, slot_offset(slot), framed);
-  if (auto* rec2 = trace::get(kernel_->engine())) {
-    rec2->instant(node_.value(), "backend", "slot.fill", msg.trace_id,
+  if (auto* rec2 = trace::get(engine())) {
+    rec2->instant(trace_node(), "backend", "slot.fill", msg.trace_id,
                   static_cast<std::uint64_t>(slot), buf.size());
   }
   // Set the flag FIRST, then read the peer's dual-queue name: this
@@ -368,12 +362,9 @@ sim::Task<> ChrysalisBackend::perform_send(BLink link, WireMessage msg,
         chrysalis::DqId(dq_name.value()),
         make_notice(obj, kCodeFilledBase + static_cast<std::uint32_t>(slot)));
   }
-  // Enclosure-free replies resolve early (DESIGN.md §12): the flag bit
-  // is absolute truth and the buffer lives in the link object, which
-  // shared memory keeps intact until the consumer reads it regardless of
-  // what this process does next — waiting for the consumed hint teaches
-  // us nothing the flag write didn't.
-  if (msg.kind == MsgKind::kReply && msg.enclosures.empty()) {
+  // Early reply resolve: the flag bit is absolute truth and shared
+  // memory keeps the buffer until the consumer reads it.
+  if (resolves_early(msg.kind, msg.enclosures.size())) {
     ps->settle(SendOutcome{SendResult::kDelivered, {}});
     co_return;
   }
@@ -406,7 +397,7 @@ void ChrysalisBackend::handle_consumed(chrysalis::MemId obj, int slot) {
       unindex_link(*er);
       links_.erase(e);
       if (by_obj_.find(eobj) == by_obj_.end()) {
-        kernel_->engine().spawn("chrysalis-unmap", unmap_object(eobj));
+        engine().spawn("chrysalis-unmap", unmap_object(eobj));
       }
     }
   }
@@ -486,16 +477,16 @@ sim::Task<> ChrysalisBackend::consume_incoming(chrysalis::MemId obj,
     rec->consumed_owed = true;
     rec->consumed_slot = slot;
     rec->consumed_trace = decoded.trace;
-    rec->consumed_timer = kernel_->engine().schedule_cancellable(
+    rec->consumed_timer = engine().schedule_cancellable(
         kConsumedCoalesceDelay, [this, owed_token] {
-          kernel_->engine().spawn("chrysalis-consumed",
+          engine().spawn("chrysalis-consumed",
                                   post_deferred_consumed(owed_token));
         });
   } else {
     co_await post_consumed(obj, sender_side, slot);
   }
-  if (auto* trec = trace::get(kernel_->engine())) {
-    trec->instant(node_.value(), "backend", "slot.consume", decoded.trace,
+  if (auto* trec = trace::get(engine())) {
+    trec->instant(trace_node(), "backend", "slot.consume", decoded.trace,
                   static_cast<std::uint64_t>(slot), raw.value().size());
   }
   // Install moved ends: map, write our dual-queue name (non-atomic),
@@ -507,11 +498,7 @@ sim::Task<> ChrysalisBackend::consume_incoming(chrysalis::MemId obj,
     (void)co_await kernel_->write32(
         pid_, eobj, dq_offset(eside),
         static_cast<std::uint32_t>(my_dq_.value()));
-    const BLink nb = blink_ids_.next();
-    links_.emplace(nb,
-                   make_rec(nb, eobj, eside));
-    index_link(links_.at(nb));
-    enclosures.push_back(nb);
+    enclosures.push_back(adopt_end(eobj, eside));
     auto eflags = co_await kernel_->read16(pid_, eobj, kOffFlags);
     if (eflags.ok()) {
       for (int s = 0; s < 4; ++s) {
@@ -529,14 +516,10 @@ sim::Task<> ChrysalisBackend::consume_incoming(chrysalis::MemId obj,
     }
   }
 
-  BackendEvent ev;
-  ev.kind = slot_is_reply(slot) ? BackendEvent::Kind::kReplyArrived
-                                : BackendEvent::Kind::kRequestArrived;
-  ev.link = token;
-  ev.body = std::move(decoded.body);
-  ev.enclosures = std::move(enclosures);
-  ev.trace = decoded.trace;
-  if (sink_) sink_(ev);
+  upcall_arrival(token,
+                 slot_is_reply(slot) ? MsgKind::kReply : MsgKind::kRequest,
+                 std::move(decoded.body), std::move(enclosures),
+                 decoded.trace);
 }
 
 sim::Task<> ChrysalisBackend::recheck_link(chrysalis::MemId obj) {
@@ -567,18 +550,8 @@ sim::Task<> ChrysalisBackend::handle_destroyed_notice(chrysalis::MemId obj) {
       continue;  // stale hint
     }
     rec->destroyed = true;
-    if (rec->out_req.ps != nullptr) {
-      rec->out_req.ps->settle(SendOutcome{SendResult::kLinkDestroyed, {}});
-      rec->out_req.ps = nullptr;
-    }
-    if (rec->out_rep.ps != nullptr) {
-      rec->out_rep.ps->settle(SendOutcome{SendResult::kLinkDestroyed, {}});
-      rec->out_rep.ps = nullptr;
-    }
-    BackendEvent ev;
-    ev.kind = BackendEvent::Kind::kLinkDestroyed;
-    ev.link = rec->token;
-    if (sink_) sink_(ev);
+    fail_sends(*rec);
+    upcall_destroyed(rec->token);
     const chrysalis::MemId dead_obj = rec->obj;
     unindex_link(*rec);
     links_.erase(rec->token);
@@ -614,21 +587,17 @@ void ChrysalisBackend::set_interest(BLink link, bool want_requests,
   const bool newly_interested = want_requests && !rec->want_requests;
   rec->want_requests = want_requests;
   rec->want_replies = want_replies;
-  if (newly_interested && comm_ready_) {
+  if (newly_interested && ready_.is_open()) {
     // Self-hint: re-scan the absolute flags for parked requests.
-    kernel_->engine().spawn("chrysalis-recheck",
-                            enqueue_self(make_notice(rec->obj, kCodeRecheck)));
+    engine().spawn("chrysalis-recheck",
+                   post_notice(my_dq_, make_notice(rec->obj, kCodeRecheck)));
   }
-}
-
-sim::Task<> ChrysalisBackend::enqueue_self(std::uint32_t datum) {
-  co_await post_notice(my_dq_, datum);
 }
 
 void ChrysalisBackend::retract_reply_interest(BLink link) {
   LinkRec* rec = find(link);
   if (rec == nullptr || rec->destroyed) return;
-  kernel_->engine().spawn("chrysalis-retract",
+  engine().spawn("chrysalis-retract",
                           set_unwanted_bit(rec->obj, rec->side));
 }
 
@@ -644,6 +613,7 @@ sim::Task<void> ChrysalisBackend::destroy(BLink link) {
   const chrysalis::MemId obj = rec->obj;
   const std::uint8_t side = rec->side;
   rec->destroyed = true;
+  fail_sends(*rec);
   unindex_link(*rec);
   links_.erase(link);
   co_await perform_destroy_bits(obj, side);
@@ -662,10 +632,12 @@ sim::Task<> ChrysalisBackend::perform_destroy_bits(chrysalis::MemId obj,
   (void)co_await kernel_->unmap(pid_, obj);
 }
 
-void ChrysalisBackend::shutdown() {
-  if (!running_) return;
-  running_ = false;
-  kernel_->engine().spawn("chrysalis-shutdown", perform_shutdown());
+void ChrysalisBackend::fail_sends(LinkRec& rec) {
+  for (PendingOut* out : {&rec.out_req, &rec.out_rep}) {
+    if (out->ps == nullptr) continue;
+    out->ps->settle(SendOutcome{SendResult::kLinkDestroyed, {}});
+    out->ps = nullptr;
+  }
 }
 
 sim::Task<> ChrysalisBackend::perform_shutdown() {
@@ -689,7 +661,7 @@ sim::Task<> ChrysalisBackend::perform_shutdown() {
   for (const auto& [obj, side] : to_destroy) {
     co_await perform_destroy_bits(obj, side);
   }
-  if (comm_ready_) {
+  if (ready_.is_open()) {
     (void)co_await kernel_->enqueue(pid_, my_dq_,
                                     make_notice(chrysalis::MemId(0),
                                                 kCodePoison));
@@ -698,31 +670,22 @@ sim::Task<> ChrysalisBackend::perform_shutdown() {
 
 // ===================== bootstrap =====================
 
-sim::Task<std::pair<LinkHandle, LinkHandle>> ChrysalisBackend::connect(
-    Process& a, Process& b) {
-  auto* ba = dynamic_cast<ChrysalisBackend*>(&a.backend());
-  auto* bb = dynamic_cast<ChrysalisBackend*>(&b.backend());
-  RELYNX_ASSERT_MSG(ba != nullptr && bb != nullptr,
-                    "connect requires Chrysalis backends");
-  RELYNX_ASSERT_MSG(ba->kernel_ == bb->kernel_, "same Butterfly required");
-  while (!ba->comm_ready_) co_await ba->ready_->wait();
-  while (!bb->comm_ready_) co_await bb->ready_->wait();
-
-  chrysalis::Kernel& k = *ba->kernel_;
-  auto obj = co_await k.make_object(ba->pid_, ba->object_size());
+sim::Task<std::pair<BLink, BLink>> ChrysalisBackend::bootstrap_link(
+    Backend& peer) {
+  auto& other = static_cast<ChrysalisBackend&>(peer);
+  RELYNX_ASSERT_MSG(kernel_ == other.kernel_, "same Butterfly required");
+  co_await ready_.wait();
+  co_await other.ready_.wait();
+  auto obj = co_await kernel_->make_object(pid_, object_size());
   RELYNX_ASSERT(obj.ok());
-  (void)co_await k.map(bb->pid_, obj.value());
-  (void)co_await k.write32(ba->pid_, obj.value(), kOffDqA,
-                           static_cast<std::uint32_t>(ba->my_dq_.value()));
-  (void)co_await k.write32(bb->pid_, obj.value(), kOffDqB,
-                           static_cast<std::uint32_t>(bb->my_dq_.value()));
-  const BLink ta = ba->blink_ids_.next();
-  ba->links_.emplace(ta, ChrysalisBackend::make_rec(ta, obj.value(), 0));
-  ba->index_link(ba->links_.at(ta));
-  const BLink tb = bb->blink_ids_.next();
-  bb->links_.emplace(tb, ChrysalisBackend::make_rec(tb, obj.value(), 1));
-  bb->index_link(bb->links_.at(tb));
-  co_return std::pair(a.adopt_link(ta), b.adopt_link(tb));
+  (void)co_await kernel_->map(other.pid_, obj.value());
+  (void)co_await kernel_->write32(pid_, obj.value(), kOffDqA,
+                                  static_cast<std::uint32_t>(my_dq_.value()));
+  (void)co_await kernel_->write32(
+      other.pid_, obj.value(), kOffDqB,
+      static_cast<std::uint32_t>(other.my_dq_.value()));
+  const BLink mine = adopt_end(obj.value(), 0);
+  co_return std::pair(mine, other.adopt_end(obj.value(), 1));
 }
 
 std::unique_ptr<ChrysalisBackend> make_chrysalis_backend(

@@ -26,7 +26,6 @@
 
 #include "chrysalis/kernel.hpp"
 #include "lynx/backend.hpp"
-#include "lynx/runtime.hpp"
 
 namespace lynx {
 
@@ -52,9 +51,9 @@ class ChrysalisBackend final : public Backend {
     };
   }
 
-  void start(Sink sink) override;
-  void shutdown() override;
   [[nodiscard]] sim::Task<std::pair<BLink, BLink>> make_link() override;
+  [[nodiscard]] sim::Task<std::pair<BLink, BLink>> bootstrap_link(
+      Backend& peer) override;
   [[nodiscard]] std::unique_ptr<PendingSend> begin_send(
       BLink link, WireMessage msg) override;
   void set_interest(BLink link, bool want_requests,
@@ -64,17 +63,8 @@ class ChrysalisBackend final : public Backend {
   [[nodiscard]] std::uint64_t protocol_messages() const override {
     return notices_;
   }
-  [[nodiscard]] std::uint32_t trace_node() const override {
-    return node_.value();
-  }
-
   [[nodiscard]] chrysalis::Pid pid() const { return pid_; }
   [[nodiscard]] const auto& params() const { return params_; }
-
-  // Bootstrap: wire two started-or-starting processes together with a
-  // fresh link (the loader's job).  Run on the engine before traffic.
-  [[nodiscard]] static sim::Task<std::pair<LinkHandle, LinkHandle>> connect(
-      Process& a, Process& b);
 
  private:
   // A send parked until the CONSUMED notice (or destruction) settles it.
@@ -99,20 +89,13 @@ class ChrysalisBackend final : public Backend {
     sim::TimerHandle consumed_timer;
   };
 
-  [[nodiscard]] static LinkRec make_rec(BLink token, chrysalis::MemId obj,
-                                        std::uint8_t side) {
-    LinkRec rec;
-    rec.token = token;
-    rec.obj = obj;
-    rec.side = side;
-    return rec;
-  }
-
   // object layout helpers
   [[nodiscard]] std::size_t slot_offset(int slot) const;
   [[nodiscard]] std::size_t object_size() const;
 
-  [[nodiscard]] sim::Task<> pump();
+  [[nodiscard]] sim::Task<> pump() override;
+  // Posts the CONSUMED notices still owed, then destroys every link.
+  [[nodiscard]] sim::Task<> perform_shutdown() override;
   [[nodiscard]] sim::Task<> maybe_consume(chrysalis::MemId obj, int slot);
   [[nodiscard]] sim::Task<> consume_incoming(chrysalis::MemId obj, int slot);
   void handle_consumed(chrysalis::MemId obj, int slot);
@@ -127,10 +110,8 @@ class ChrysalisBackend final : public Backend {
                                            PendingSend* ps);
   [[nodiscard]] sim::Task<> perform_destroy_bits(chrysalis::MemId obj,
                                                  std::uint8_t side);
-  [[nodiscard]] sim::Task<> perform_shutdown();
   [[nodiscard]] sim::Task<> recheck_link(chrysalis::MemId obj);
   [[nodiscard]] sim::Task<> unmap_object(chrysalis::MemId obj);
-  [[nodiscard]] sim::Task<> enqueue_self(std::uint32_t datum);
   // Every hint leaves through here: one counted Kernel::enqueue.  The
   // shutdown poison bypasses it, since it is not a protocol message.
   [[nodiscard]] sim::Task<> post_notice(chrysalis::DqId dq,
@@ -139,24 +120,23 @@ class ChrysalisBackend final : public Backend {
                                              std::uint8_t side);
   [[nodiscard]] LinkRec* side_rec(chrysalis::MemId obj, std::uint8_t side);
   [[nodiscard]] LinkRec* find(BLink link);
-  void index_link(const LinkRec& rec);
+  // Settles the sends parked on `rec` kLinkDestroyed.
+  static void fail_sends(LinkRec& rec);
+  // Records an end of `obj` this process now holds; returns its token.
+  BLink adopt_end(chrysalis::MemId obj, std::uint8_t side);
   void unindex_link(const LinkRec& rec);
 
   chrysalis::Kernel* kernel_;
-  net::NodeId node_;
   ChrysalisBackendParams params_;
   chrysalis::Pid pid_;
-  Sink sink_;
-  bool running_ = false;
 
-  std::unique_ptr<sim::Gate> ready_;
+  // Opens once the pump has made the dual queue and event block.
+  sim::Gate ready_;
   chrysalis::DqId my_dq_;
   chrysalis::EventId my_event_;
-  bool comm_ready_ = false;
 
   std::unordered_map<BLink, LinkRec> links_;
   std::unordered_map<chrysalis::MemId, std::array<BLink, 2>> by_obj_;
-  common::IdAllocator<BLink> blink_ids_;
   std::uint64_t notices_ = 0;
 };
 

@@ -1,48 +1,26 @@
 // Substrate-agnostic bootstrap wiring.
 //
-// Each backend exposes a static connect(Process&, Process&) because the
-// loader-fiat handshake is kernel-specific, but callers that run one
-// scenario against every substrate (tests/load, bench_capacity) only
-// know they hold two processes on the *same* backend family.  This
-// helper dispatches on the concrete backend type so such callers never
-// mention a kernel by name.
+// The loader-fiat handshake is kernel-specific, so each backend
+// implements Backend::bootstrap_link; callers only know they hold two
+// processes on the *same* backend family and never mention a kernel by
+// name.
 #pragma once
 
+#include <typeinfo>
 #include <utility>
 
-#include "common/assert.hpp"
-#include "lynx/charlotte_backend.hpp"
-#include "lynx/chrysalis_backend.hpp"
 #include "lynx/errors.hpp"
 #include "lynx/runtime.hpp"
-#include "lynx/soda_backend.hpp"
 #include "sim/task.hpp"
 
 namespace lynx {
 
-namespace detail {
-
-// Substrate family of a process's backend, or nullptr-equivalent "" for
-// a backend connect_any does not know how to wire.
-[[nodiscard]] inline const char* substrate_tag(Process& p) {
-  if (dynamic_cast<CharlotteBackend*>(&p.backend()) != nullptr) {
-    return "charlotte";
-  }
-  if (dynamic_cast<SodaBackend*>(&p.backend()) != nullptr) return "soda";
-  if (dynamic_cast<ChrysalisBackend*>(&p.backend()) != nullptr) {
-    return "chrysalis";
-  }
-  return "";
-}
-
-}  // namespace detail
-
 // Wires a <-> b with a fresh link and returns (a_end, b_end).  Both
 // processes must sit on the same backend family; run on the engine
-// before traffic, like the per-backend connect it forwards to.
+// before traffic.
 //
 // Error surface (LynxError, kInvalidLink / kLinkDestroyed): an unknown
-// or mismatched substrate tag, processes on different engines, a
+// or mismatched substrate, processes on different engines, a
 // terminated process, or an engine already shut down.  Connecting the
 // same pair again is legal and yields a second, independent link.
 [[nodiscard]] inline sim::Task<std::pair<LinkHandle, LinkHandle>> connect_any(
@@ -59,24 +37,14 @@ namespace detail {
     throw LynxError(ErrorKind::kLinkDestroyed,
                     "connect_any: process already terminated");
   }
-  const std::string tag_a = detail::substrate_tag(a);
-  const std::string tag_b = detail::substrate_tag(b);
-  if (tag_a.empty() || tag_b.empty()) {
+  if (typeid(a.backend()) != typeid(b.backend())) {
     throw LynxError(ErrorKind::kInvalidLink,
-                    "connect_any: unknown substrate tag");
+                    "connect_any: mismatched substrates (" +
+                        a.backend().kernel_name() + " vs " +
+                        b.backend().kernel_name() + ")");
   }
-  if (tag_a != tag_b) {
-    throw LynxError(ErrorKind::kInvalidLink,
-                    "connect_any: mismatched substrates (" + tag_a + " vs " +
-                        tag_b + ")");
-  }
-  if (tag_a == "charlotte") {
-    co_return co_await CharlotteBackend::connect(a, b);
-  }
-  if (tag_a == "soda") {
-    co_return co_await SodaBackend::connect(a, b);
-  }
-  co_return co_await ChrysalisBackend::connect(a, b);
+  const auto [ta, tb] = co_await a.backend().bootstrap_link(b.backend());
+  co_return std::pair(a.adopt_link(ta), b.adopt_link(tb));
 }
 
 }  // namespace lynx

@@ -11,7 +11,7 @@
 //                        lynx::make_charlotte_backend(crystal, net::NodeId(0)));
 //   lynx::Process client(engine, "client",
 //                        lynx::make_charlotte_backend(crystal, net::NodeId(1)));
-//   ... CharlotteBackend::connect(server, client) ...
+//   ... lynx::connect_any(server, client) ...
 //   server.spawn_thread("serve", ...); client.spawn_thread("drive", ...);
 //   engine.run();
 //

@@ -43,16 +43,28 @@ Message make_message(std::string op, std::vector<Value> args) {
 
 namespace {
 
-void put_u32(Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+// Little-endian, a byte at a time, so the wire is host-independent.
+std::uint8_t* put_le(std::uint8_t* p, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) *p++ = static_cast<std::uint8_t>(v >> (8 * i));
+  return p;
 }
 
-void put_u64(Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+template <typename Seq>
+std::uint8_t* put_blob(std::uint8_t* p, const Seq& seq) {
+  p = put_le(p, seq.size(), 4);
+  return std::copy(seq.begin(), seq.end(), p);
+}
+
+// Bytes an argument takes after its tag byte.
+std::size_t payload_size(const Value& v) {
+  switch (type_of(v)) {
+    case ValueType::kInt:
+    case ValueType::kReal: return 8;
+    case ValueType::kString: return 4 + std::get<std::string>(v).size();
+    case ValueType::kBytes: return 4 + std::get<Bytes>(v).size();
+    case ValueType::kLink: return 4;
   }
+  return 0;
 }
 
 struct Reader {
@@ -87,43 +99,40 @@ struct Reader {
 }  // namespace
 
 Serialized serialize(const Message& m) {
+  // One exact-size buffer, filled through a cursor: no regrowth.
+  std::size_t size = 4 + m.op.size() + 4;
+  for (const Value& v : m.args) size += 1 + payload_size(v);
   Serialized out;
-  put_u32(out.body, static_cast<std::uint32_t>(m.op.size()));
-  out.body.insert(out.body.end(), m.op.begin(), m.op.end());
-  put_u32(out.body, static_cast<std::uint32_t>(m.args.size()));
+  out.body.resize(size);
+  std::uint8_t* p = put_blob(out.body.data(), m.op);
+  p = put_le(p, m.args.size(), 4);
   for (const Value& v : m.args) {
-    out.body.push_back(static_cast<std::uint8_t>(type_of(v)));
+    *p++ = static_cast<std::uint8_t>(type_of(v));
     switch (type_of(v)) {
       case ValueType::kInt:
-        put_u64(out.body,
-                static_cast<std::uint64_t>(std::get<std::int64_t>(v)));
+        p = put_le(p, static_cast<std::uint64_t>(std::get<std::int64_t>(v)),
+                   8);
         break;
       case ValueType::kReal: {
         std::uint64_t bits;
         const double d = std::get<double>(v);
         std::memcpy(&bits, &d, 8);
-        put_u64(out.body, bits);
+        p = put_le(p, bits, 8);
         break;
       }
-      case ValueType::kString: {
-        const auto& s = std::get<std::string>(v);
-        put_u32(out.body, static_cast<std::uint32_t>(s.size()));
-        out.body.insert(out.body.end(), s.begin(), s.end());
+      case ValueType::kString:
+        p = put_blob(p, std::get<std::string>(v));
         break;
-      }
-      case ValueType::kBytes: {
-        const auto& b = std::get<Bytes>(v);
-        put_u32(out.body, static_cast<std::uint32_t>(b.size()));
-        out.body.insert(out.body.end(), b.begin(), b.end());
+      case ValueType::kBytes:
+        p = put_blob(p, std::get<Bytes>(v));
         break;
-      }
       case ValueType::kLink:
-        put_u32(out.body,
-                static_cast<std::uint32_t>(out.enclosures.size()));
+        p = put_le(p, out.enclosures.size(), 4);
         out.enclosures.push_back(std::get<LinkHandle>(v));
         break;
     }
   }
+  RELYNX_ASSERT(p == out.body.data() + out.body.size());
   return out;
 }
 

@@ -155,15 +155,18 @@ void Process::terminate() {
   for (auto& [h, ls] : links_) {
     ls.destroyed = true;
     sync_fair(ls);
-    if (ls.active_call != nullptr) {
-      ls.active_call->failed = true;
-      ls.active_call->error = ErrorKind::kLinkDestroyed;
-      ls.active_call->wake->fulfill(0);
-      ls.active_call = nullptr;
-    }
+    fail_active_call(ls);
   }
   backend_->shutdown();
   receive_waiters_->wake_all();
+}
+
+void Process::fail_active_call(LinkState& ls) {
+  if (ls.active_call == nullptr) return;
+  ls.active_call->failed = true;
+  ls.active_call->error = ErrorKind::kLinkDestroyed;
+  ls.active_call->wake->fulfill(0);
+  ls.active_call = nullptr;
 }
 
 void Process::on_backend_event(BackendEvent ev) {
@@ -245,12 +248,7 @@ void Process::on_backend_event(BackendEvent ev) {
         rec->instant(backend_->trace_node(), "runtime", "link.dead",
                      ev.trace, ev.link.value());
       }
-      if (ls.active_call != nullptr) {
-        ls.active_call->failed = true;
-        ls.active_call->error = ErrorKind::kLinkDestroyed;
-        ls.active_call->wake->fulfill(0);
-        ls.active_call = nullptr;
-      }
+      fail_active_call(ls);
       receive_waiters_->wake_all();
       return;
     }
@@ -327,6 +325,11 @@ sim::Task<void> ThreadCtx::destroy(LinkHandle link) {
   const Process::LinkState& ls = proc_->require_link(link);
   if (!ls.destroyed) {
     co_await proc_->backend_->destroy(ls.blink);
+  }
+  // A sibling's call on the end fails like one on a link destroyed
+  // remotely (its pending send, if any, the backend already settled).
+  if (Process::LinkState* cur = proc_->find_link(link)) {
+    proc_->fail_active_call(*cur);
   }
   proc_->drop_link(link);
 }

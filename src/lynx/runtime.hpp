@@ -118,8 +118,7 @@ class Process {
   }
 
   // Adopts a backend link token created outside a thread (bootstrap:
-  // the loader wiring two processes together; see each backend's
-  // connect() helper).
+  // the loader wiring two processes together; see connect_any).
   [[nodiscard]] LinkHandle adopt_link(BLink blink);
 
   // Declared operation names (optional): when non-empty, incoming
@@ -175,6 +174,9 @@ class Process {
   };
 
   void on_backend_event(BackendEvent ev);
+  // Wakes the thread awaiting a reply on `ls`, if any, with
+  // kLinkDestroyed.
+  void fail_active_call(LinkState& ls);
   [[nodiscard]] LinkState& require_link(LinkHandle h);
   [[nodiscard]] LinkState* find_link(LinkHandle h);
   void refresh_interest(LinkState& ls);

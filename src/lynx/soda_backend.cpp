@@ -82,22 +82,14 @@ soda::Name decode_name(const soda::Payload& raw) {
 
 SodaBackend::SodaBackend(soda::Network& network, SodaDirectory& directory,
                          net::NodeId node, SodaBackendParams params)
-    : network_(&network),
+    : Backend(network.engine(), node),
+      network_(&network),
       directory_(&directory),
-      node_(node),
       params_(params),
       pid_(network.create_process(node)),
-      drained_(std::make_unique<sim::WaitList>(network.engine())),
-      ready_(std::make_unique<sim::Gate>(network.engine())) {}
+      ready_(network.engine()) {}
 
 SodaBackend::~SodaBackend() = default;
-
-void SodaBackend::start(Sink sink) {
-  RELYNX_ASSERT_MSG(!running_, "backend started twice");
-  sink_ = std::move(sink);
-  running_ = true;
-  network_->engine().spawn("soda-pump", pump());
-}
 
 sim::Task<> SodaBackend::pump() {
   soda::Kernel& k = network_->kernel_of(pid_);
@@ -105,13 +97,12 @@ sim::Task<> SodaBackend::pump() {
     freeze_name_ = co_await k.generate_name(pid_);
     (void)co_await k.advertise(pid_, freeze_name_);
     directory_->processes.push_back({pid_, freeze_name_});
-    comm_ready_ = true;
-    ready_->open();
+    ready_.open();
   }
   for (;;) {
-    if (!running_ && !draining_) break;
+    if (!serving()) break;
     soda::Interrupt intr = co_await k.next_interrupt(pid_);
-    if (!running_ && !draining_) break;
+    if (!serving()) break;
     on_interrupt(intr);
   }
 }
@@ -139,11 +130,11 @@ void SodaBackend::answer_straggler(const soda::RequestInterrupt& r) {
   // (assumed) destroyed.
   if (const std::optional<soda::Pid> owner = moved_owner(r.name)) {
     ++stats_.moved_redirects;
-    network_->engine().spawn(
+    engine().spawn(
         "soda-redirect", accept_with(r.request, Oop::kMoved, owner->value()));
     return;
   }
-  network_->engine().spawn("soda-dead",
+  engine().spawn("soda-dead",
                            accept_with(r.request, Oop::kDestroyed, 0));
 }
 
@@ -154,7 +145,7 @@ void SodaBackend::remember_move(soda::Name name, soda::Pid new_owner) {
     // fall back to discover / freeze (experiment E10).
     auto [old_name, owner] = moved_cache_.front();
     moved_cache_.pop_front();
-    network_->engine().spawn(
+    engine().spawn(
         "soda-unadvertise",
         [](soda::Kernel* k, soda::Pid me, soda::Name n) -> sim::Task<> {
           (void)co_await k->unadvertise(me, n);
@@ -162,20 +153,23 @@ void SodaBackend::remember_move(soda::Name name, soda::Pid new_owner) {
   }
 }
 
+BLink SodaBackend::adopt_end(soda::Name mine, soda::Name peer,
+                             soda::Pid hint) {
+  const BLink token = next_blink();
+  links_.emplace(token, SLink{token, mine, peer, hint});
+  by_name_.emplace(mine, token);
+  return token;
+}
+
 sim::Task<std::pair<BLink, BLink>> SodaBackend::make_link() {
-  while (!comm_ready_) co_await ready_->wait();
+  co_await ready_.wait();
   soda::Kernel& k = network_->kernel_of(pid_);
   const soda::Name n1 = co_await k.generate_name(pid_);
   const soda::Name n2 = co_await k.generate_name(pid_);
   (void)co_await k.advertise(pid_, n1);
   (void)co_await k.advertise(pid_, n2);
-  const BLink a = blink_ids_.next();
-  const BLink b = blink_ids_.next();
-  links_.emplace(a, SLink{a, n1, n2, pid_});
-  links_.emplace(b, SLink{b, n2, n1, pid_});
-  by_name_.emplace(n1, a);
-  by_name_.emplace(n2, b);
-  co_return std::pair(a, b);
+  const BLink a = adopt_end(n1, n2, pid_);
+  co_return std::pair(a, adopt_end(n2, n1, pid_));
 }
 
 // ===================== sending =====================
@@ -184,7 +178,7 @@ std::unique_ptr<PendingSend> SodaBackend::begin_send(BLink token,
                                                      WireMessage msg) {
   const std::uint64_t id = next_out_id_++;
   auto ps = std::make_unique<PendingSend>(
-      network_->engine(), [this, id](PendingSend&) { request_cancel(id); });
+      engine(), [this, id](PendingSend&) { request_cancel(id); });
   OutSend out;
   out.id = id;
   out.link = token;
@@ -201,14 +195,14 @@ std::unique_ptr<PendingSend> SodaBackend::begin_send(BLink token,
   }
   out.data = encode_put(msg.body, encs);
   outs_.emplace(id, std::move(out));
-  network_->engine().spawn("soda-send", issue_send(id));
+  engine().spawn("soda-send", issue_send(id));
   return ps;
 }
 
 sim::Task<> SodaBackend::issue_send(std::uint64_t out_id) {
   // Frozen processes cease execution of everything but searches (§4.2).
   while (freeze_count_ > 0) {
-    co_await network_->engine().sleep(sim::msec(1));
+    co_await engine().sleep(sim::msec(1));
   }
   auto it = outs_.find(out_id);
   if (it == outs_.end()) co_return;
@@ -232,24 +226,20 @@ sim::Task<> SodaBackend::issue_send(std::uint64_t out_id) {
   if (!req.ok()) {
     if (req.error() == soda::Status::kTooManyRequests) {
       // the §4.2.1 outstanding-requests limit: back off and retry
-      network_->engine().schedule(sim::msec(10), [this, out_id] {
-        network_->engine().spawn("soda-resend", issue_send(out_id));
+      engine().schedule(sim::msec(10), [this, out_id] {
+        engine().spawn("soda-resend", issue_send(out_id));
       });
       co_return;
     }
     // kNoSuchProcess etc.: the hint names a pid that never existed
-    network_->engine().spawn("soda-fix", hint_fix_and_resend(out_id));
+    engine().spawn("soda-fix", hint_fix_and_resend(out_id));
     co_return;
   }
   it2->second.req = req.value();
   out_by_req_[req.value()] = out_id;
-  // Early reply resolve (DESIGN.md §12): the request is on the wire and
-  // the kernel retries/redirects on its own — "the requesting user can
-  // proceed" (§4.1).  Replies carry no further protocol obligations for
-  // the sending thread (the caller is parked waiting for exactly these
-  // bytes), so release it now instead of holding it for the full accept
-  // round trip.  Replies moving enclosures still wait: the move
-  // protocol's bookkeeping is keyed to the completion.
+  // Early reply resolve: the put is on the wire and the kernel
+  // retries/redirects on its own — "the requesting user can proceed"
+  // (§4.1).
   OutSend& placed = it2->second;
   SLink* link2 = find(placed.link);
   if (placed.kind == MsgKind::kReply && link2 != nullptr &&
@@ -258,9 +248,8 @@ sim::Task<> SodaBackend::issue_send(std::uint64_t out_id) {
     // the reply statement for the kernel round trip so the peer's
     // authoritative flag can answer REPLY-UNWANTED.  Consume the hint.
     link2->peer_reply_unwanted = false;
-  } else if (placed.kind == MsgKind::kReply &&
-             placed.enclosure_tokens.empty() && placed.ps != nullptr &&
-             !placed.cancel_requested) {
+  } else if (resolves_early(placed.kind, placed.enclosure_tokens.size()) &&
+             placed.ps != nullptr && !placed.cancel_requested) {
     placed.ps->settle(SendOutcome{SendResult::kDelivered, {}});
     placed.ps = nullptr;
     placed.early_resolved = true;
@@ -276,22 +265,18 @@ void SodaBackend::resolve_out(std::uint64_t out_id, SendOutcome outcome) {
   note_drain_progress();
 }
 
-bool SodaBackend::has_unsettled_early() const {
+bool SodaBackend::has_unsettled() const {
   for (const auto& [id, out] : outs_) {
     if (out.early_resolved) return true;
   }
   return false;
 }
 
-void SodaBackend::note_drain_progress() {
-  if (draining_ && !has_unsettled_early()) drained_->wake_all();
-}
-
 void SodaBackend::request_cancel(std::uint64_t out_id) {
   auto it = outs_.find(out_id);
   if (it == outs_.end()) return;
   it->second.cancel_requested = true;
-  network_->engine().spawn("soda-cancel", issue_cancel(out_id));
+  engine().spawn("soda-cancel", issue_cancel(out_id));
 }
 
 sim::Task<> SodaBackend::issue_cancel(std::uint64_t out_id) {
@@ -336,13 +321,13 @@ void SodaBackend::on_request(const soda::RequestInterrupt& r) {
         if (link->reply_unwanted) {
           // capability (4): the caller aborted; tell the replier.
           link->reply_unwanted = false;
-          network_->engine().spawn(
+          engine().spawn(
               "soda-unwanted",
               accept_with(r.request, Oop::kReplyUnwanted, 0));
           return;
         }
         // Replies are always wanted: accept at once.
-        network_->engine().spawn(
+        engine().spawn(
             "soda-reply-accept",
             accept_msg(link->token, r.request, MsgKind::kReply, r.trace));
         return;
@@ -377,10 +362,10 @@ void SodaBackend::on_request(const soda::RequestInterrupt& r) {
         }
         parked_.erase(pit);
         revoked = true;
-        network_->engine().spawn(
+        engine().spawn(
             "soda-revoke", accept_with(target, Oop::kCancelled, 0));
       }
-      network_->engine().spawn(
+      engine().spawn(
           "soda-cancel-ack",
           accept_with(r.request, revoked ? Oop::kAcceptOk : Oop::kTooLate,
                       0));
@@ -388,18 +373,18 @@ void SodaBackend::on_request(const soda::RequestInterrupt& r) {
     }
     case Oop::kFreeze: {
       ++freeze_count_;
-      network_->engine().spawn("soda-freeze",
+      engine().spawn("soda-freeze",
                                answer_freeze(r.request, r.from));
       return;
     }
     case Oop::kHint: {
       // Asynchronous hint from a frozen process (see answer_freeze).
-      network_->engine().spawn("soda-hint-taken", take_hint(r));
+      engine().spawn("soda-hint-taken", take_hint(r));
       return;
     }
     case Oop::kUnfreeze: {
       if (freeze_count_ > 0) --freeze_count_;
-      network_->engine().spawn("soda-unfreeze",
+      engine().spawn("soda-unfreeze",
                                accept_with(r.request, Oop::kAcceptOk, 0));
       if (freeze_count_ == 0) {
         // Execution resumes: serve anything that parked while frozen.
@@ -475,13 +460,13 @@ void SodaBackend::on_completion(const soda::CompletionInterrupt& c) {
     } else if (op == Oop::kMoved) {
       ++stats_.hint_misses;
       link->peer_hint = soda::Pid(c.oob[1]);
-      network_->engine().spawn("soda-signal", post_signal(token));
+      engine().spawn("soda-signal", post_signal(token));
     } else if (op == Oop::kReplyUnwanted) {
       // The caller aborted: our next reply must wait for the peer's
       // authoritative verdict instead of resolving early.  Repost the
       // signal — it still watches for destruction and moves.
       link->peer_reply_unwanted = true;
-      network_->engine().spawn("soda-signal", post_signal(token));
+      engine().spawn("soda-signal", post_signal(token));
     }
     return;
   }
@@ -495,14 +480,12 @@ void SodaBackend::on_completion(const soda::CompletionInterrupt& c) {
   const auto op = static_cast<Oop>(c.oob[0]);
   switch (op) {
     case Oop::kAcceptOk: {
-      const BLink token = out.link;
       const soda::Pid new_owner = out.target;
       std::vector<BLink> moved = out.enclosure_tokens;
       resolve_out(out_id, SendOutcome{SendResult::kDelivered, {}});
       if (!moved.empty()) {
-        network_->engine().spawn(
-            "soda-move-done",
-            finish_moves(token, std::move(moved), new_owner));
+        engine().spawn("soda-move-done",
+                       finish_moves(std::move(moved), new_owner));
       }
       return;
     }
@@ -521,7 +504,7 @@ void SodaBackend::on_completion(const soda::CompletionInterrupt& c) {
         link->peer_hint = soda::Pid(c.oob[1]);
       }
       out.req = soda::ReqId::invalid();
-      network_->engine().spawn("soda-resend", issue_send(out_id));
+      engine().spawn("soda-resend", issue_send(out_id));
       return;
     }
     case Oop::kCancelled:
@@ -544,7 +527,7 @@ void SodaBackend::on_crash_or_reject(soda::ReqId req) {
     signal_by_req_.erase(sit);
     if (SLink* link = find(token)) {
       link->signal_out = soda::ReqId::invalid();
-      network_->engine().spawn("soda-signal-fix", fix_signal(token));
+      engine().spawn("soda-signal-fix", fix_signal(token));
     }
     return;
   }
@@ -554,7 +537,7 @@ void SodaBackend::on_crash_or_reject(soda::ReqId req) {
   out_by_req_.erase(oit);
   if (auto it = outs_.find(out_id); it != outs_.end()) {
     it->second.req = soda::ReqId::invalid();
-    network_->engine().spawn("soda-fix", hint_fix_and_resend(out_id));
+    engine().spawn("soda-fix", hint_fix_and_resend(out_id));
   }
 }
 
@@ -617,7 +600,7 @@ sim::Task<std::optional<soda::Pid>> SodaBackend::freeze_search(
     soda::Name peer_name) {
   soda::Kernel& k = network_->kernel_of(pid_);
   FreezeCollector col;
-  col.done = std::make_unique<sim::OneShot<int>>(network_->engine());
+  col.done = std::make_unique<sim::OneShot<int>>(engine());
   std::vector<soda::Pid> contacted;
   for (const auto& entry : directory_->processes) {
     if (entry.pid == pid_ || !network_->alive(entry.pid)) continue;
@@ -636,7 +619,7 @@ sim::Task<std::optional<soda::Pid>> SodaBackend::freeze_search(
   if (col.expected > 0) {
     (void)co_await col.done->take();
   }
-  co_await network_->engine().sleep(sim::msec(50));
+  co_await engine().sleep(sim::msec(50));
   // unfreeze everyone we froze
   for (soda::Pid p : contacted) {
     for (const auto& entry : directory_->processes) {
@@ -678,7 +661,7 @@ void SodaBackend::maybe_accept_parked(SLink& link) {
     if (pit == parked_.end()) continue;  // cancelled meanwhile
     const std::uint64_t trace = pit->second.trace;
     parked_.erase(pit);
-    network_->engine().spawn(
+    engine().spawn(
         "soda-accept", accept_msg(link.token, req, MsgKind::kRequest, trace));
   }
 }
@@ -704,25 +687,14 @@ sim::Task<> SodaBackend::deliver(SLink& link, MsgKind kind,
     const soda::Name peer_name(e[1]);
     const soda::Pid hint(static_cast<std::uint32_t>(e[2]));
     (void)co_await k.advertise(pid_, my_name);
-    const BLink nb = blink_ids_.next();
-    links_.emplace(nb, SLink{nb, my_name, peer_name, hint});
-    by_name_.emplace(my_name, nb);
-    enclosures.push_back(nb);
+    enclosures.push_back(adopt_end(my_name, peer_name, hint));
   }
-  BackendEvent ev;
-  ev.kind = kind == MsgKind::kRequest ? BackendEvent::Kind::kRequestArrived
-                                      : BackendEvent::Kind::kReplyArrived;
-  ev.link = link.token;
-  ev.body = std::move(decoded.body);
-  ev.enclosures = std::move(enclosures);
-  ev.trace = trace;
-  if (sink_) sink_(ev);
+  upcall_arrival(link.token, kind, std::move(decoded.body),
+                 std::move(enclosures), trace);
 }
 
-sim::Task<> SodaBackend::finish_moves(BLink carrier,
-                                      std::vector<BLink> moved,
+sim::Task<> SodaBackend::finish_moves(std::vector<BLink> moved,
                                       soda::Pid new_owner) {
-  (void)carrier;
   for (BLink token : moved) {
     SLink* link = find(token);
     if (link == nullptr) continue;
@@ -752,8 +724,8 @@ void SodaBackend::set_interest(BLink token, bool want_requests,
   link->want_replies = want_replies;
   maybe_accept_parked(*link);
   if ((want_requests || want_replies) && !link->signal_out.valid() &&
-      comm_ready_) {
-    network_->engine().spawn("soda-signal", post_signal(token));
+      ready_.is_open()) {
+    engine().spawn("soda-signal", post_signal(token));
   }
 }
 
@@ -790,7 +762,7 @@ void SodaBackend::retract_reply_interest(BLink token) {
     const soda::ReqId sig = link->parked_signals.front();
     link->parked_signals.pop_front();
     if (parked_.erase(sig) > 0) {
-      network_->engine().spawn("soda-unwanted-hint",
+      engine().spawn("soda-unwanted-hint",
                                accept_with(sig, Oop::kReplyUnwanted, 0));
     }
   }
@@ -801,10 +773,7 @@ void SodaBackend::retract_reply_interest(BLink token) {
 void SodaBackend::mark_destroyed(SLink& link) {
   if (link.destroyed) return;
   link.destroyed = true;
-  BackendEvent ev;
-  ev.kind = BackendEvent::Kind::kLinkDestroyed;
-  ev.link = link.token;
-  if (sink_) sink_(ev);
+  upcall_destroyed(link.token);
   // Outstanding sends are NOT failed here: every in-flight put resolves
   // through a kernel path (acceptance completion, kDestroyed accept from
   // the destroyer, or a crash interrupt), and a completion may already
@@ -813,10 +782,6 @@ void SodaBackend::mark_destroyed(SLink& link) {
 }
 
 sim::Task<void> SodaBackend::destroy(BLink token) {
-  co_await perform_destroy(token);
-}
-
-sim::Task<> SodaBackend::perform_destroy(BLink token) {
   SLink* link = find(token);
   if (link == nullptr) co_return;
   link->destroyed = true;
@@ -842,49 +807,29 @@ sim::Task<> SodaBackend::perform_destroy(BLink token) {
   links_.erase(token);
 }
 
-void SodaBackend::shutdown() {
-  if (!running_) return;
-  running_ = false;
-  draining_ = true;
-  network_->engine().spawn("soda-shutdown", perform_shutdown());
-}
-
 sim::Task<> SodaBackend::perform_shutdown() {
-  // Drain early-resolved replies first: their threads have moved on, but
-  // the bytes are still the kernel's responsibility, and terminate()
-  // drops this process's outstanding requests without completing them.
-  while (has_unsettled_early()) co_await drained_->wait();
-  draining_ = false;
   std::vector<BLink> tokens;
   for (auto& [token, link] : links_) tokens.push_back(token);
-  for (BLink t : tokens) co_await perform_destroy(t);
+  for (BLink t : tokens) co_await destroy(t);
   network_->terminate(pid_);
 }
 
 // ===================== bootstrap =====================
 
-sim::Task<std::pair<LinkHandle, LinkHandle>> SodaBackend::connect(
-    Process& a, Process& b) {
-  auto* ba = dynamic_cast<SodaBackend*>(&a.backend());
-  auto* bb = dynamic_cast<SodaBackend*>(&b.backend());
-  RELYNX_ASSERT_MSG(ba != nullptr && bb != nullptr,
-                    "connect requires SODA backends");
-  RELYNX_ASSERT_MSG(ba->network_ == bb->network_, "same SODA net required");
-  while (!ba->comm_ready_) co_await ba->ready_->wait();
-  while (!bb->comm_ready_) co_await bb->ready_->wait();
-  soda::Kernel& ka = ba->network_->kernel_of(ba->pid_);
-  soda::Kernel& kb = bb->network_->kernel_of(bb->pid_);
-  const soda::Name na = co_await ka.generate_name(ba->pid_);
-  const soda::Name nb = co_await ka.generate_name(ba->pid_);
-  (void)co_await ka.advertise(ba->pid_, na);
-  (void)co_await kb.advertise(bb->pid_, nb);
-  const BLink ta = ba->blink_ids_.next();
-  ba->links_.emplace(ta, SLink{ta, na, nb, bb->pid_});
-  ba->by_name_.emplace(na, ta);
-  const BLink tb = bb->blink_ids_.next();
-  bb->links_.emplace(tb, SLink{tb, nb, na, ba->pid_});
-  bb->by_name_.emplace(nb, tb);
-  co_return std::pair(a.adopt_link(ta), b.adopt_link(tb));
+sim::Task<std::pair<BLink, BLink>> SodaBackend::bootstrap_link(
+    Backend& peer) {
+  auto& other = static_cast<SodaBackend&>(peer);
+  RELYNX_ASSERT_MSG(network_ == other.network_, "same SODA net required");
+  co_await ready_.wait();
+  co_await other.ready_.wait();
+  soda::Kernel& ka = network_->kernel_of(pid_);
+  soda::Kernel& kb = network_->kernel_of(other.pid_);
+  const soda::Name na = co_await ka.generate_name(pid_);
+  const soda::Name nb = co_await ka.generate_name(pid_);
+  (void)co_await ka.advertise(pid_, na);
+  (void)co_await kb.advertise(other.pid_, nb);
+  const BLink mine = adopt_end(na, nb, other.pid_);
+  co_return std::pair(mine, other.adopt_end(nb, na, pid_));
 }
 
 std::unique_ptr<SodaBackend> make_soda_backend(soda::Network& network,

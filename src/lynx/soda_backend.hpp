@@ -31,7 +31,6 @@
 #include <unordered_set>
 
 #include "lynx/backend.hpp"
-#include "lynx/runtime.hpp"
 #include "soda/kernel.hpp"
 
 namespace lynx {
@@ -69,9 +68,9 @@ class SodaBackend final : public Backend {
     };
   }
 
-  void start(Sink sink) override;
-  void shutdown() override;
   [[nodiscard]] sim::Task<std::pair<BLink, BLink>> make_link() override;
+  [[nodiscard]] sim::Task<std::pair<BLink, BLink>> bootstrap_link(
+      Backend& peer) override;
   [[nodiscard]] std::unique_ptr<PendingSend> begin_send(
       BLink link, WireMessage msg) override;
   void set_interest(BLink link, bool want_requests,
@@ -81,10 +80,6 @@ class SodaBackend final : public Backend {
   [[nodiscard]] std::uint64_t protocol_messages() const override {
     return stats_.requests_issued;
   }
-  [[nodiscard]] std::uint32_t trace_node() const override {
-    return node_.value();
-  }
-
   [[nodiscard]] soda::Pid pid() const { return pid_; }
 
   struct Stats {
@@ -98,10 +93,6 @@ class SodaBackend final : public Backend {
     std::uint64_t unwanted_received = 0;  // stays 0: screening by accept
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
-
-  // Bootstrap: wire two processes together (loader fiat).
-  [[nodiscard]] static sim::Task<std::pair<LinkHandle, LinkHandle>> connect(
-      Process& a, Process& b);
 
  private:
   // accept / completion out-of-band codes (word 0)
@@ -174,7 +165,11 @@ class SodaBackend final : public Backend {
     std::unique_ptr<sim::OneShot<int>> done;
   };
 
-  [[nodiscard]] sim::Task<> pump();
+  [[nodiscard]] sim::Task<> pump() override;
+  [[nodiscard]] sim::Task<> perform_shutdown() override;
+  // An early-resolved reply's kernel leg is still in flight: terminate()
+  // would drop it, so the shutdown drain waits it out.
+  [[nodiscard]] bool has_unsettled() const override;
   void on_interrupt(const soda::Interrupt& intr);
   void on_request(const soda::RequestInterrupt& r);
   void on_completion(const soda::CompletionInterrupt& c);
@@ -196,20 +191,16 @@ class SodaBackend final : public Backend {
   [[nodiscard]] sim::Task<std::optional<soda::Pid>> freeze_search(
       soda::Name peer_name);
   [[nodiscard]] sim::Task<> fix_signal(BLink token);
-  [[nodiscard]] sim::Task<> finish_moves(BLink carrier,
-                                         std::vector<BLink> moved,
+  [[nodiscard]] sim::Task<> finish_moves(std::vector<BLink> moved,
                                          soda::Pid new_owner);
   [[nodiscard]] sim::Task<> deliver(SLink& link, MsgKind kind,
                                     const soda::Payload& raw,
                                     std::uint64_t trace);
-  [[nodiscard]] sim::Task<> perform_destroy(BLink token);
-  [[nodiscard]] sim::Task<> perform_shutdown();
   [[nodiscard]] sim::Task<> post_signal(BLink token);
   void maybe_accept_parked(SLink& link);
   void mark_destroyed(SLink& link);
-  // Early-resolved replies whose kernel leg is still in flight.
-  [[nodiscard]] bool has_unsettled_early() const;
-  void note_drain_progress();
+  // Records an end this process now holds; returns its token.
+  BLink adopt_end(soda::Name mine, soda::Name peer, soda::Pid hint);
   [[nodiscard]] SLink* find(BLink token);
   [[nodiscard]] SLink* find_by_name(soda::Name name);
   void remember_move(soda::Name name, soda::Pid new_owner);
@@ -220,21 +211,11 @@ class SodaBackend final : public Backend {
 
   soda::Network* network_;
   SodaDirectory* directory_;
-  net::NodeId node_;
   SodaBackendParams params_;
   soda::Pid pid_;
   soda::Name freeze_name_;
-  Sink sink_;
-  bool running_ = false;
-  // Shutdown drain: an early-resolved reply's OutSend may still be in
-  // flight at the kernel when the runtime asks to shut down; terminating
-  // then would strand the reply (terminate_process drops this process's
-  // outstanding requests on the floor).  The pump keeps servicing
-  // interrupts while draining_ until every early-resolved send settles.
-  bool draining_ = false;
-  std::unique_ptr<sim::WaitList> drained_;
-  bool comm_ready_ = false;
-  std::unique_ptr<sim::Gate> ready_;
+  // Opens once the pump has advertised the freeze name.
+  sim::Gate ready_;
 
   std::unordered_map<BLink, SLink> links_;
   std::unordered_map<soda::Name, BLink> by_name_;
@@ -248,7 +229,6 @@ class SodaBackend final : public Backend {
   int freeze_count_ = 0;
   std::unordered_map<soda::ReqId, FreezeCollector*> freeze_collects_;
   std::unordered_map<soda::Name, soda::Pid> async_hints_;
-  common::IdAllocator<BLink> blink_ids_;
   std::uint64_t next_out_id_ = 1;
   Stats stats_;
 };

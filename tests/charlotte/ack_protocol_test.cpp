@@ -87,7 +87,8 @@ sim::Task<> recv_one(Cluster* cl, Pid me, EndId end,
 
 sim::Task<> send_n(Cluster* cl, Pid me, EndId end, int n) {
   for (int i = 0; i < n; ++i) {
-    co_await send_one(cl, me, end, "m" + std::to_string(i), nullptr);
+    co_await send_one(cl, me, end, std::string("m").append(std::to_string(i)),
+                      nullptr);
   }
 }
 

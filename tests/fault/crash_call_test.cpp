@@ -108,9 +108,7 @@ sim::Task<> serve_calls(lynx::ThreadCtx& ctx, lynx::LinkHandle link, int n) {
 sim::Task<> call_once(lynx::ThreadCtx& ctx, lynx::LinkHandle link,
                       CallOutcome* out) {
   try {
-    lynx::Message req;
-    req.op = "ping";
-    req.args.push_back(std::int64_t{7});
+    lynx::Message req = lynx::make_message("ping", {std::int64_t{7}});
     (void)co_await ctx.call(link, std::move(req));
     out->ok = true;
   } catch (const lynx::LynxError& e) {

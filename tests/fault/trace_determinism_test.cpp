@@ -17,6 +17,7 @@
 #include "fault/invariant_checker.hpp"
 #include "load/load.hpp"
 #include "lynx/chrysalis_backend.hpp"
+#include "lynx/connect.hpp"
 #include "lynx/runtime.hpp"
 #include "net/csma_bus.hpp"
 #include "net/token_ring.hpp"
@@ -204,7 +205,7 @@ RunResult run_chrysalis_universe(std::uint64_t seed) {
   e.spawn("connect", [](lynx::Process* sp, lynx::Process* cp,
                         lynx::LinkHandle* se,
                         lynx::LinkHandle* ce) -> sim::Task<> {
-    auto [a, b] = co_await lynx::ChrysalisBackend::connect(*sp, *cp);
+    auto [a, b] = co_await lynx::connect_any(*sp, *cp);
     *se = a;
     *ce = b;
   }(&server, &client, &server_end, &client_end));

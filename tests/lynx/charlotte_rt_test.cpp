@@ -10,6 +10,7 @@
 
 #include "../support/co_check.hpp"
 #include "lynx/charlotte_backend.hpp"
+#include "lynx/connect.hpp"
 #include "lynx/runtime.hpp"
 #include "sim/engine.hpp"
 
@@ -41,7 +42,7 @@ struct World {
   }
 
   static sim::Task<> wire(World* w) {
-    auto [se, ce] = co_await CharlotteBackend::connect(w->server, w->client);
+    auto [se, ce] = co_await connect_any(w->server, w->client);
     w->server_end = se;
     w->client_end = ce;
   }

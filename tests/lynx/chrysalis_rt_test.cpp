@@ -6,6 +6,7 @@
 
 #include "../support/co_check.hpp"
 #include "lynx/chrysalis_backend.hpp"
+#include "lynx/connect.hpp"
 #include "lynx/runtime.hpp"
 #include "sim/engine.hpp"
 
@@ -39,7 +40,7 @@ struct World {
   }
 
   static sim::Task<> wire(World* w) {
-    auto [se, ce] = co_await ChrysalisBackend::connect(w->server, w->client);
+    auto [se, ce] = co_await connect_any(w->server, w->client);
     w->server_end = se;
     w->client_end = ce;
   }
@@ -363,7 +364,7 @@ TEST(LynxChrysalis, ReceiveIsFairAcrossLinks) {
   for (int i = 0; i < 3; ++i) {
     engine.spawn("wire", [](Process* s, Process* c, LinkHandle* se,
                             LinkHandle* ce) -> sim::Task<> {
-      auto [a, b] = co_await ChrysalisBackend::connect(*s, *c);
+      auto [a, b] = co_await connect_any(*s, *c);
       *se = a;
       *ce = b;
     }(&server, clients[static_cast<std::size_t>(i)].get(), &server_ends[static_cast<std::size_t>(i)],

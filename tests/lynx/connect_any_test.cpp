@@ -27,10 +27,9 @@ using net::NodeId;
 // A backend family connect_any has never heard of.
 class FakeBackend final : public Backend {
  public:
+  explicit FakeBackend(sim::Engine& engine) : Backend(engine, NodeId(0)) {}
   [[nodiscard]] std::string kernel_name() const override { return "fake"; }
   [[nodiscard]] Capabilities capabilities() const override { return {}; }
-  void start(Sink /*sink*/) override {}
-  void shutdown() override {}
   [[nodiscard]] sim::Task<std::pair<BLink, BLink>> make_link() override {
     co_return std::pair<BLink, BLink>{};
   }
@@ -43,6 +42,10 @@ class FakeBackend final : public Backend {
   void retract_reply_interest(BLink /*link*/) override {}
   [[nodiscard]] sim::Task<void> destroy(BLink /*link*/) override { co_return; }
   [[nodiscard]] std::uint64_t protocol_messages() const override { return 0; }
+
+ private:
+  [[nodiscard]] sim::Task<> pump() override { co_return; }
+  [[nodiscard]] sim::Task<> perform_shutdown() override { co_return; }
 };
 
 // Coroutine bodies are free functions (CP.51); the outcome lands in a
@@ -77,8 +80,8 @@ sim::Task<> echo_once_client(ThreadCtx& ctx, LinkHandle link,
 
 TEST(ConnectAny, UnknownSubstrateTagIsInvalidLink) {
   sim::Engine engine;
-  Process a(engine, "a", std::make_unique<FakeBackend>());
-  Process b(engine, "b", std::make_unique<FakeBackend>());
+  Process a(engine, "a", std::make_unique<FakeBackend>(engine));
+  Process b(engine, "b", std::make_unique<FakeBackend>(engine));
   a.start();
   b.start();
   std::vector<std::string> log;

@@ -7,6 +7,7 @@
 
 #include "../support/co_check.hpp"
 #include "lynx/chrysalis_backend.hpp"
+#include "lynx/connect.hpp"
 #include "lynx/runtime.hpp"
 #include "sim/engine.hpp"
 
@@ -34,7 +35,7 @@ struct World {
     engine.run();
   }
   static sim::Task<> wire(World* w) {
-    auto [se, ce] = co_await ChrysalisBackend::connect(w->server, w->client);
+    auto [se, ce] = co_await connect_any(w->server, w->client);
     w->server_end = se;
     w->client_end = ce;
   }
@@ -161,10 +162,10 @@ TEST(LynxSemantics, CannotMoveEndWithOwedReply) {
   engine.spawn("wire", [](Process* pa, Process* pb, Process* pc,
                           LinkHandle* o1, LinkHandle* o2, LinkHandle* o3,
                           LinkHandle* o4) -> sim::Task<> {
-    auto [x1, y1] = co_await ChrysalisBackend::connect(*pa, *pb);
+    auto [x1, y1] = co_await connect_any(*pa, *pb);
     *o1 = x1;
     *o2 = y1;
-    auto [x2, y2] = co_await ChrysalisBackend::connect(*pa, *pc);
+    auto [x2, y2] = co_await connect_any(*pa, *pc);
     *o3 = x2;
     *o4 = y2;
   }(&a, &b, &c, &ab_a, &ab_b, &ac_a, &ac_c));

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "../support/co_check.hpp"
+#include "lynx/connect.hpp"
 #include "lynx/runtime.hpp"
 #include "lynx/soda_backend.hpp"
 #include "sim/engine.hpp"
@@ -53,10 +54,10 @@ FreezeWorldResult run(double broadcast_drop, bool enable_freeze) {
   engine.spawn("wire", [](Process* pa, Process* pb, Process* pc,
                           LinkHandle* o1, LinkHandle* o2, LinkHandle* o3,
                           LinkHandle* o4) -> sim::Task<> {
-    auto [x1, y1] = co_await SodaBackend::connect(*pa, *pb);
+    auto [x1, y1] = co_await connect_any(*pa, *pb);
     *o1 = x1;
     *o2 = y1;
-    auto [x2, y2] = co_await SodaBackend::connect(*pa, *pc);
+    auto [x2, y2] = co_await connect_any(*pa, *pc);
     *o3 = x2;
     *o4 = y2;
   }(&a, &b, &c, &ab_a, &ab_b, &l_a, &l_c));

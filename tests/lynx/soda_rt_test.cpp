@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "../support/co_check.hpp"
+#include "lynx/connect.hpp"
 #include "lynx/runtime.hpp"
 #include "lynx/soda_backend.hpp"
 #include "sim/engine.hpp"
@@ -56,7 +57,7 @@ struct World {
   }
 
   static sim::Task<> wire(World* w) {
-    auto [se, ce] = co_await SodaBackend::connect(w->server, w->client);
+    auto [se, ce] = co_await connect_any(w->server, w->client);
     w->server_end = se;
     w->client_end = ce;
   }
@@ -299,10 +300,10 @@ TEST(LynxSoda, DormantMovedLinkIsFoundViaCache) {
   engine.spawn("wire", [](Process* pa, Process* pb, Process* pc,
                           LinkHandle* w1, LinkHandle* w2, LinkHandle* w3,
                           LinkHandle* w4) -> sim::Task<> {
-    auto [x, y] = co_await SodaBackend::connect(*pa, *pb);
+    auto [x, y] = co_await connect_any(*pa, *pb);
     *w1 = x;
     *w2 = y;
-    auto [u, v] = co_await SodaBackend::connect(*pa, *pc);
+    auto [u, v] = co_await connect_any(*pa, *pc);
     *w3 = u;
     *w4 = v;
   }(&a, &b, &c, &ab_a, &ab_b, &l_a, &l_c));

@@ -20,7 +20,8 @@ TEST(WaitListTest, WakeOneIsFifo) {
   WaitList list(e);
   std::vector<int> log;
   for (int i = 0; i < 3; ++i) {
-    e.spawn("w" + std::to_string(i), wait_and_log(&e, &list, &log, i));
+    e.spawn(std::string("w").append(std::to_string(i)),
+            wait_and_log(&e, &list, &log, i));
   }
   e.run();
   EXPECT_TRUE(log.empty());

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "lynx/charlotte_backend.hpp"
+#include "lynx/connect.hpp"
 #include "lynx/runtime.hpp"
 #include "sim/engine.hpp"
 #include "trace/phases.hpp"
@@ -40,7 +41,7 @@ struct World {
 
   static sim::Task<> wire(World* w) {
     auto [se, ce] =
-        co_await lynx::CharlotteBackend::connect(w->server, w->client);
+        co_await lynx::connect_any(w->server, w->client);
     w->server_end = se;
     w->client_end = ce;
   }
