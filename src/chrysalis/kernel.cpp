@@ -304,15 +304,19 @@ sim::Task<Status> Kernel::post(Pid caller, EventId id, std::uint32_t datum) {
   ++ops_;
   co_await engine_->sleep(costs_.primitive_call + costs_.event_post);
   (void)caller;  // any process that knows the name may post
-  auto it = events_.find(id);
-  if (it == events_.end()) co_return Status::kNoSuchObject;
+  co_return hand_to_event(id, datum) ? Status::kOk : Status::kNoSuchObject;
+}
+
+bool Kernel::hand_to_event(EventId target, std::uint32_t datum) {
+  auto it = events_.find(target);
+  if (it == events_.end()) return false;
   Event& ev = it->second;
   if (ev.waiter != nullptr && !ev.waiter->fulfilled()) {
     ev.waiter->fulfill(datum);
   } else {
     ev.pending.push_back(datum);
   }
-  co_return Status::kOk;
+  return true;
 }
 
 sim::Task<Result<std::uint32_t>> Kernel::wait_event(Pid caller, EventId id) {
@@ -354,16 +358,8 @@ Status Kernel::deliver_to_queue(DualQueue& q, std::uint32_t datum) {
   if (q.fast_armed) {
     // The cheap flag was armed first (waiters were empty then), so its
     // consumer is served first; FIFO over consumers is preserved.
-    const EventId target = q.fast_event;
     q.fast_armed = false;
-    auto ev = events_.find(target);
-    if (ev != events_.end()) {
-      if (ev->second.waiter != nullptr && !ev->second.waiter->fulfilled()) {
-        ev->second.waiter->fulfill(datum);
-      } else {
-        ev->second.pending.push_back(datum);
-      }
-    }
+    hand_to_event(q.fast_event, datum);
     return Status::kOk;
   }
   if (!q.waiters.empty()) {
@@ -371,14 +367,7 @@ Status Kernel::deliver_to_queue(DualQueue& q, std::uint32_t datum) {
     // actually posts a queued event instead of adding its datum."
     const EventId target = q.waiters.front();
     q.waiters.pop_front();
-    auto ev = events_.find(target);
-    if (ev != events_.end()) {
-      if (ev->second.waiter != nullptr && !ev->second.waiter->fulfilled()) {
-        ev->second.waiter->fulfill(datum);
-      } else {
-        ev->second.pending.push_back(datum);
-      }
-    }
+    hand_to_event(target, datum);
     return Status::kOk;
   }
   if (q.data.size() >= q.capacity) return Status::kQueueFull;
@@ -408,15 +397,7 @@ sim::Task<Status> Kernel::enqueue(Pid caller, DqId id, std::uint32_t datum) {
     co_await engine_->sleep(costs_.primitive_call + costs_.atomic16 +
                             costs_.event_post +
                             (remote ? fabric_.word_reference(true) : 0));
-    auto ev = events_.find(target);
-    if (ev != events_.end()) {
-      Event& e = ev->second;
-      if (e.waiter != nullptr && !e.waiter->fulfilled()) {
-        e.waiter->fulfill(datum);
-      } else {
-        e.pending.push_back(datum);
-      }
-    }
+    hand_to_event(target, datum);
     co_return Status::kOk;
   }
   co_await engine_->sleep(costs_.primitive_call + costs_.dq_enqueue +
@@ -425,44 +406,6 @@ sim::Task<Status> Kernel::enqueue(Pid caller, DqId id, std::uint32_t datum) {
   auto it2 = queues_.find(id);
   if (it2 == queues_.end()) co_return Status::kNoSuchObject;
   co_return deliver_to_queue(it2->second, datum);
-}
-
-sim::Task<Result<Kernel::DequeueOutcome>> Kernel::dequeue(Pid caller, DqId id,
-                                                          EventId my_event) {
-  ++ops_;
-  auto it = queues_.find(id);
-  if (it == queues_.end()) {
-    co_await engine_->sleep(costs_.primitive_call);
-    co_return common::Err(Status::kNoSuchObject);
-  }
-  DualQueue& q = it->second;
-  const bool remote = is_remote(caller, q.home);
-  if (remote) ++remote_;
-  co_await engine_->sleep(costs_.primitive_call + costs_.dq_dequeue +
-                          (remote ? fabric_.word_reference(true) : 0));
-  auto it2 = queues_.find(id);
-  if (it2 == queues_.end()) co_return common::Err(Status::kNoSuchObject);
-  DualQueue& q2 = it2->second;
-  if (!q2.data.empty()) {
-    DequeueOutcome out;
-    out.datum = q2.data.front();
-    q2.data.pop_front();
-    co_return out;
-  }
-  // "Once a queue becomes empty, subsequent dequeue operations actually
-  // enqueue event block names, on which the calling processes can wait."
-  // An uncontended consumer arms the cheap flag instead of pushing its
-  // event name; a second concurrent consumer falls back to the deque.
-  if (!q2.fast_armed && q2.waiters.empty()) {
-    q2.fast_event = my_event;
-    q2.fast_armed = true;
-  } else {
-    q2.waiters.push_back(my_event);
-    ++queue_allocs_;
-  }
-  DequeueOutcome out;
-  out.would_block = true;
-  co_return out;
 }
 
 sim::Task<Result<Kernel::DequeueManyOutcome>> Kernel::dequeue_many(
@@ -494,6 +437,10 @@ sim::Task<Result<Kernel::DequeueManyOutcome>> Kernel::dequeue_many(
     }
     co_return out;
   }
+  // "Once a queue becomes empty, subsequent dequeue operations actually
+  // enqueue event block names, on which the calling processes can wait."
+  // An uncontended consumer arms the cheap flag instead of pushing its
+  // event name; a second concurrent consumer falls back to the deque.
   if (!q2.fast_armed && q2.waiters.empty()) {
     q2.fast_event = my_event;
     q2.fast_armed = true;
@@ -507,9 +454,9 @@ sim::Task<Result<Kernel::DequeueManyOutcome>> Kernel::dequeue_many(
 
 sim::Task<Result<std::uint32_t>> Kernel::dequeue_wait(Pid caller, DqId id,
                                                       EventId my_event) {
-  auto outcome = co_await dequeue(caller, id, my_event);
+  auto outcome = co_await dequeue_many(caller, id, my_event, 1);
   if (!outcome.ok()) co_return common::Err(outcome.error());
-  if (!outcome.value().would_block) co_return outcome.value().datum;
+  if (!outcome.value().would_block) co_return outcome.value().data.front();
   auto datum = co_await wait_event(caller, my_event);
   if (!datum.ok()) co_return common::Err(datum.error());
   co_return datum.value();

@@ -96,19 +96,11 @@ class Kernel {
   // posts the front event with the datum instead (paper §5.1).
   [[nodiscard]] sim::Task<Status> enqueue(Pid caller, DqId q,
                                           std::uint32_t datum);
-  // dequeue: pops a datum, or — if empty — enqueues `my_event`'s name and
-  // reports would-block; the caller then waits on its event block.
-  struct DequeueOutcome {
-    bool would_block = false;
-    std::uint32_t datum = 0;
-  };
-  [[nodiscard]] sim::Task<Result<DequeueOutcome>> dequeue(Pid caller, DqId q,
-                                                          EventId my_event);
-  // Batched dequeue — one microcode dispatch pops every ready datum (up
-  // to `max`), charging Costs::dq_dequeue_extra for each after the
-  // first.  An empty queue behaves exactly like dequeue: `my_event`'s
-  // name is left behind (or the cheap flag armed) and would_block is
-  // reported.
+  // dequeue_many: one microcode dispatch pops every ready datum (up to
+  // `max`), charging Costs::dq_dequeue_extra for each after the first.
+  // If the queue is empty it enqueues `my_event`'s name (or arms the
+  // cheap flag) and reports would-block; the caller then waits on its
+  // event block.
   struct DequeueManyOutcome {
     bool would_block = false;
     std::vector<std::uint32_t> data;
@@ -172,6 +164,9 @@ class Kernel {
                                           sim::Duration base) const;
   void reap_object_if_dead(Object& obj);
   [[nodiscard]] bool is_remote(Pid caller, net::NodeId home) const;
+  // Hands `datum` to an event block: fulfils its waiter, or else queues
+  // the datum as pending.  False if no such event exists.
+  bool hand_to_event(EventId target, std::uint32_t datum);
   // Post-suspension delivery of one datum into a dual queue: posts the
   // front waiter event if the queue holds event names, else appends
   // (kQueueFull drops the datum).

@@ -67,8 +67,16 @@ constexpr std::size_t kOffDqA = 4;
 constexpr std::size_t kOffDqB = 8;
 constexpr std::size_t kOffSlots = 16;
 
+// Per-direction, per-kind buffer size: a slot is a u32 length word plus
+// this many bytes.
+constexpr std::size_t kMaxMessageBytes = 2048;
+constexpr std::size_t kObjectSize = kOffSlots + 4 * (4 + kMaxMessageBytes);
+
 [[nodiscard]] constexpr std::size_t dq_offset(std::uint8_t side) {
   return side == 0 ? kOffDqA : kOffDqB;
+}
+[[nodiscard]] constexpr std::size_t slot_offset(int slot) {
+  return kOffSlots + static_cast<std::size_t>(slot) * (4 + kMaxMessageBytes);
 }
 
 // buffer content: u32 body_len | body | u8 enc_count | per enc (u64 obj,
@@ -138,11 +146,9 @@ DecodedBuffer decode_buffer(const Bytes& raw) {
 // ===================== backend =====================
 
 ChrysalisBackend::ChrysalisBackend(chrysalis::Kernel& kernel,
-                                   net::NodeId node,
-                                   ChrysalisBackendParams params)
+                                   net::NodeId node)
     : Backend(kernel.engine(), node),
       kernel_(&kernel),
-      params_(params),
       pid_(kernel.create_process(node)),
       ready_(kernel.engine()) {}
 
@@ -154,15 +160,6 @@ sim::Task<> ChrysalisBackend::post_notice(chrysalis::DqId dq,
                                           std::uint32_t datum) {
   ++notices_;
   (void)co_await kernel_->enqueue(pid_, dq, datum);
-}
-
-std::size_t ChrysalisBackend::slot_offset(int slot) const {
-  return kOffSlots +
-         static_cast<std::size_t>(slot) * (4 + params_.max_message_bytes);
-}
-
-std::size_t ChrysalisBackend::object_size() const {
-  return kOffSlots + 4 * (4 + params_.max_message_bytes);
 }
 
 sim::Task<> ChrysalisBackend::pump() {
@@ -255,7 +252,7 @@ void ChrysalisBackend::unindex_link(const LinkRec& rec) {
 
 sim::Task<std::pair<BLink, BLink>> ChrysalisBackend::make_link() {
   co_await ready_.wait();
-  auto obj = co_await kernel_->make_object(pid_, object_size());
+  auto obj = co_await kernel_->make_object(pid_, kObjectSize);
   RELYNX_ASSERT(obj.ok());
   // Both sides' dual-queue names start as ours.
   (void)co_await kernel_->write32(pid_, obj.value(), kOffDqA,
@@ -273,10 +270,10 @@ std::unique_ptr<PendingSend> ChrysalisBackend::begin_send(BLink link,
   // so the link stays usable for a smaller message.
   const std::size_t encoded =
       4 + msg.body.size() + 1 + 9 * msg.enclosures.size() + 8;
-  if (encoded > params_.max_message_bytes) {
+  if (encoded > kMaxMessageBytes) {
     throw LynxError(ErrorKind::kMessageTooLarge,
                     std::to_string(encoded) + " bytes exceed the " +
-                        std::to_string(params_.max_message_bytes) +
+                        std::to_string(kMaxMessageBytes) +
                         "-byte link buffer");
   }
   const MsgKind kind = msg.kind;
@@ -676,7 +673,7 @@ sim::Task<std::pair<BLink, BLink>> ChrysalisBackend::bootstrap_link(
   RELYNX_ASSERT_MSG(kernel_ == other.kernel_, "same Butterfly required");
   co_await ready_.wait();
   co_await other.ready_.wait();
-  auto obj = co_await kernel_->make_object(pid_, object_size());
+  auto obj = co_await kernel_->make_object(pid_, kObjectSize);
   RELYNX_ASSERT(obj.ok());
   (void)co_await kernel_->map(other.pid_, obj.value());
   (void)co_await kernel_->write32(pid_, obj.value(), kOffDqA,
@@ -689,9 +686,8 @@ sim::Task<std::pair<BLink, BLink>> ChrysalisBackend::bootstrap_link(
 }
 
 std::unique_ptr<ChrysalisBackend> make_chrysalis_backend(
-    chrysalis::Kernel& kernel, net::NodeId node,
-    ChrysalisBackendParams params) {
-  return std::make_unique<ChrysalisBackend>(kernel, node, params);
+    chrysalis::Kernel& kernel, net::NodeId node) {
+  return std::make_unique<ChrysalisBackend>(kernel, node);
 }
 
 }  // namespace lynx

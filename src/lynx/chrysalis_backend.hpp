@@ -29,14 +29,9 @@
 
 namespace lynx {
 
-struct ChrysalisBackendParams {
-  std::size_t max_message_bytes = 2048;  // per-direction buffer size
-};
-
 class ChrysalisBackend final : public Backend {
  public:
-  ChrysalisBackend(chrysalis::Kernel& kernel, net::NodeId node,
-                   ChrysalisBackendParams params = {});
+  ChrysalisBackend(chrysalis::Kernel& kernel, net::NodeId node);
   ~ChrysalisBackend() override;
 
   [[nodiscard]] std::string kernel_name() const override {
@@ -64,7 +59,6 @@ class ChrysalisBackend final : public Backend {
     return notices_;
   }
   [[nodiscard]] chrysalis::Pid pid() const { return pid_; }
-  [[nodiscard]] const auto& params() const { return params_; }
 
  private:
   // A send parked until the CONSUMED notice (or destruction) settles it.
@@ -88,10 +82,6 @@ class ChrysalisBackend final : public Backend {
     std::uint64_t consumed_trace = 0;
     sim::TimerHandle consumed_timer;
   };
-
-  // object layout helpers
-  [[nodiscard]] std::size_t slot_offset(int slot) const;
-  [[nodiscard]] std::size_t object_size() const;
 
   [[nodiscard]] sim::Task<> pump() override;
   // Posts the CONSUMED notices still owed, then destroys every link.
@@ -127,7 +117,6 @@ class ChrysalisBackend final : public Backend {
   void unindex_link(const LinkRec& rec);
 
   chrysalis::Kernel* kernel_;
-  ChrysalisBackendParams params_;
   chrysalis::Pid pid_;
 
   // Opens once the pump has made the dual queue and event block.
@@ -141,7 +130,6 @@ class ChrysalisBackend final : public Backend {
 };
 
 [[nodiscard]] std::unique_ptr<ChrysalisBackend> make_chrysalis_backend(
-    chrysalis::Kernel& kernel, net::NodeId node,
-    ChrysalisBackendParams params = {});
+    chrysalis::Kernel& kernel, net::NodeId node);
 
 }  // namespace lynx

@@ -22,7 +22,7 @@ enum class ErrorKind : std::uint8_t {
   kEnclosureLost,   // an enclosed link end is unrecoverable (Charlotte
                     // deviation, paper §3.2.2)
   kMessageTooLarge,  // the message does not fit the link's buffer
-                     // (Chrysalis: ChrysalisBackendParams::max_message_bytes)
+                     // (Chrysalis: 2048 bytes per direction and kind)
 };
 
 [[nodiscard]] constexpr const char* to_string(ErrorKind k) {

@@ -8,6 +8,9 @@ namespace {
 
 constexpr std::size_t kBigBuffer = 64 * 1024;
 
+// Broadcast discover tries before falling back to the freeze search.
+constexpr int kDiscoverAttempts = 3;
+
 // put data layout: [u8 n_enc][per enc: u64 my_name, u64 peer_name,
 // u32 hint_pid][body...]
 soda::Payload encode_put(const Bytes& body,
@@ -547,12 +550,11 @@ sim::Task<std::optional<soda::Pid>> SodaBackend::locate_peer(
     soda::Name peer_name) {
   soda::Kernel& k = network_->kernel_of(pid_);
   ++stats_.discover_searches;
-  for (int i = 0; i < params_.discover_attempts; ++i) {
+  for (int i = 0; i < kDiscoverAttempts; ++i) {
     auto found = co_await k.discover(pid_, peer_name);
     if (found.has_value()) co_return found;
   }
   ++stats_.discover_failures;
-  if (!params_.enable_freeze_fallback) co_return std::nullopt;
   ++stats_.freeze_searches;
   auto frozen = co_await freeze_search(peer_name);
   co_return frozen;

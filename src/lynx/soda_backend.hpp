@@ -47,9 +47,7 @@ struct SodaDirectory {
 };
 
 struct SodaBackendParams {
-  int discover_attempts = 3;  // before falling back to freeze
   std::size_t moved_cache_capacity = 64;
-  bool enable_freeze_fallback = true;
 };
 
 class SodaBackend final : public Backend {

@@ -95,11 +95,12 @@ sim::Task<> drain_pending(lynx::ThreadCtx& ctx, Core* g, std::size_t idx) {
     me.ps.pending.pop_front();
     lynx::Message m;
     m.op = "sync";
-    m.args.push_back(static_cast<std::int64_t>(me.store.view));
-    m.args.push_back(static_cast<std::int64_t>(me.store.applied));
+    m.args.reserve(2 + 2 * me.store.kv.size());
+    m.args.emplace_back(static_cast<std::int64_t>(me.store.view));
+    m.args.emplace_back(static_cast<std::int64_t>(me.store.applied));
     for (const auto& [k, v] : me.store.kv) {
-      m.args.push_back(k);
-      m.args.push_back(v);
+      m.args.emplace_back(k);
+      m.args.emplace_back(v);
     }
     try {
       (void)co_await ctx.call(bl, std::move(m));

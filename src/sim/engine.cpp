@@ -64,19 +64,16 @@ void Engine::shutdown() {
   far_.clear();
   loc_valid_ = false;
   loc_kind_ = LocKind::kNone;
-  wf_valid_ = false;
   cancelled_ = 0;
   live_ = 0;
-  // Retire every armed timer slot so outstanding TimerHandles observe
-  // !pending() and cancel as a no-op (their events are gone; leaving
-  // the generations live would make handles report phantom timers).
+  // Retire every timer slot's generation so outstanding TimerHandles
+  // observe !pending() and cancel as a no-op (their events are gone;
+  // leaving the generations live would make handles report phantom
+  // timers).  A handle to an idle slot was stale already; one more bump
+  // keeps it so.
   free_slots_.clear();
-  for (std::size_t i = slots_.size(); i > 0; --i) {
-    TimerSlot& s = slots_[i - 1];
-    if (s.armed) {
-      ++s.gen;
-      s.armed = false;
-    }
+  for (std::size_t i = slot_gen_.size(); i > 0; --i) {
+    ++slot_gen_[i - 1];
     free_slots_.push_back(static_cast<std::uint32_t>(i - 1));
   }
   shut_down_ = true;
@@ -114,50 +111,6 @@ void Engine::push_event(Time at, std::uint64_t seq, EventFn&& fn,
     head = idx;
     mark_bucket(b);
     ++wheel_count_;
-    if (wf_valid_) {
-      if (b < wf_bucket_) {
-        // wf_bucket_ was the lowest occupied bucket, so this one was
-        // empty: the new event is alone in the new front bucket.
-        wf_bucket_ = b;
-        w1_idx_ = idx;
-        w1_prev_ = kNil;
-        w2_state_ = W2::kNone;
-        w2_more_ = false;
-      } else if (b == wf_bucket_) {
-        // Head insert: whichever tracked node was the head of this
-        // chain now follows the new one.
-        if (w1_prev_ == kNil) {
-          w1_prev_ = idx;
-        } else if (w2_state_ == W2::kKnown && w2_prev_ == kNil) {
-          w2_prev_ = idx;
-        }
-        const Node& w1 = node(w1_idx_);
-        if (fires_later(at, n.key, seq, w1.at, w1.key, w1.seq)) {
-          if (w2_state_ == W2::kNone) {
-            w2_state_ = W2::kKnown;
-            w2_idx_ = idx;
-            w2_prev_ = kNil;
-          } else if (w2_state_ == W2::kKnown) {
-            const Node& w2 = node(w2_idx_);
-            w2_more_ = true;  // a third live event either way
-            if (!fires_later(at, n.key, seq, w2.at, w2.key, w2.seq)) {
-              w2_idx_ = idx;
-              w2_prev_ = kNil;
-            }
-          }
-        } else {
-          // New wheel minimum: the old minimum becomes the runner-up.
-          w2_more_ = w2_more_ || w2_state_ != W2::kNone;
-          w2_state_ = W2::kKnown;
-          w2_idx_ = w1_idx_;
-          w2_prev_ = w1_prev_;
-          w1_idx_ = idx;
-          w1_prev_ = kNil;
-        }
-      }
-      // b > wf_bucket_ cannot affect the front: bucket order is time
-      // order.
-    }
   } else {
     far_.push_back(FarEntry{at, seq, n.key, idx});
     std::push_heap(far_.begin(), far_.end(), Later{});
@@ -213,111 +166,67 @@ bool Engine::locate() {
   }
   std::uint32_t best = kNil;
   std::uint32_t best_prev = kNil;
-  std::uint64_t best_bucket = 0;
-  if (wf_valid_) {
-    best = w1_idx_;
-    best_prev = w1_prev_;
-    best_bucket = wf_bucket_;
-  } else if (wheel_count_ > 0) {
-    std::uint32_t best2 = kNil;
-    std::uint32_t best2_prev = kNil;
-    // The cursor may trail now's bucket after a pop from the overflow
-    // heap advanced time; every lower bucket is empty either way.
-    std::uint64_t b = std::max(cursor_, bucket_of(now_));
+  // The cursor may trail now's bucket after a pop from the overflow heap
+  // advanced time; every lower bucket is empty either way.
+  std::uint64_t b = std::max(cursor_, bucket_of(now_));
+  while (wheel_count_ > 0) {
+    b = next_occupied(b);
+    std::uint32_t& head = bucket_head_[b & kBucketMask];
+    // Walk the chain: reclaim dead records in place and track the
+    // comparator minimum (chain order is irrelevant to selection).  Bucket
+    // order is time order, so the first live bucket holds the wheel's
+    // minimum.
+    std::uint32_t prev = kNil;
+    std::uint32_t idx = head;
     std::size_t len = 0;
-    while (wheel_count_ > 0) {
-      b = next_occupied(b);
-      std::uint32_t& head = bucket_head_[b & kBucketMask];
-      // Walk the chain: reclaim dead records in place and track the
-      // comparator minimum and runner-up (chain order is irrelevant to
-      // selection).
-      std::uint32_t prev = kNil;
-      std::uint32_t idx = head;
-      len = 0;
+    while (idx != kNil) {
+      Node& n = node(idx);
+      const std::uint32_t next = n.next;
+      if (node_dead(n)) {
+        if (prev == kNil) {
+          head = next;
+        } else {
+          node(prev).next = next;
+        }
+        free_node(idx);
+        --wheel_count_;
+        if (cancelled_ > 0) --cancelled_;
+        idx = next;
+        continue;
+      }
+      ++len;
+      if (best == kNil || fires_later(node(best).at, node(best).key,
+                                      node(best).seq, n.at, n.key, n.seq)) {
+        best = idx;
+        best_prev = prev;
+      }
+      prev = idx;
+      idx = next;
+    }
+    if (head == kNil) {
+      clear_bucket_mark(b);
+      cursor_ = b + 1;
+      continue;
+    }
+    if (len > kSpillMax) {
+      // Same-instant burst: push it into the overflow heap once instead
+      // of min-scanning it on every pop.
+      idx = head;
       while (idx != kNil) {
         Node& n = node(idx);
-        const std::uint32_t next = n.next;
-        if (node_dead(n)) {
-          if (prev == kNil) {
-            head = next;
-          } else {
-            node(prev).next = next;
-          }
-          free_node(idx);
-          --wheel_count_;
-          if (cancelled_ > 0) --cancelled_;
-          idx = next;
-          continue;
-        }
-        ++len;
-        if (best == kNil) {
-          best = idx;
-          best_prev = prev;
-        } else {
-          const Node& bn = node(best);
-          if (fires_later(bn.at, bn.key, bn.seq, n.at, n.key, n.seq)) {
-            best2 = best;
-            best2_prev = best_prev;
-            best = idx;
-            best_prev = prev;
-          } else if (best2 == kNil) {
-            best2 = idx;
-            best2_prev = prev;
-          } else {
-            const Node& b2 = node(best2);
-            if (fires_later(b2.at, b2.key, b2.seq, n.at, n.key, n.seq)) {
-              best2 = idx;
-              best2_prev = prev;
-            }
-          }
-        }
-        prev = idx;
-        idx = next;
+        far_.push_back(FarEntry{n.at, n.seq, n.key, idx});
+        std::push_heap(far_.begin(), far_.end(), Later{});
+        idx = n.next;
       }
-      if (head == kNil) {
-        clear_bucket_mark(b);
-        cursor_ = b + 1;
-        best = kNil;
-        best2 = kNil;
-        continue;
-      }
-      if (len > kSpillMax) {
-        // Same-instant burst: push it into the overflow heap once
-        // instead of min-scanning it on every pop.
-        idx = head;
-        while (idx != kNil) {
-          Node& n = node(idx);
-          far_.push_back(FarEntry{n.at, n.seq, n.key, idx});
-          std::push_heap(far_.begin(), far_.end(), Later{});
-          idx = n.next;
-        }
-        wheel_count_ -= len;
-        head = kNil;
-        clear_bucket_mark(b);
-        cursor_ = b + 1;
-        best = kNil;
-        best2 = kNil;
-        continue;
-      }
-      best_bucket = b;
-      cursor_ = b;
-      break;
+      wheel_count_ -= len;
+      head = kNil;
+      clear_bucket_mark(b);
+      cursor_ = b + 1;
+      best = kNil;
+      continue;
     }
-    if (best != kNil) {
-      wf_valid_ = true;
-      wf_bucket_ = best_bucket;
-      w1_idx_ = best;
-      w1_prev_ = best_prev;
-      if (best2 == kNil) {
-        w2_state_ = W2::kNone;
-        w2_more_ = false;
-      } else {
-        w2_state_ = W2::kKnown;
-        w2_idx_ = best2;
-        w2_prev_ = best2_prev;
-        w2_more_ = len > 2;
-      }
-    }
+    cursor_ = b;
+    break;
   }
   if (best == kNil && far_.empty()) {
     loc_kind_ = LocKind::kNone;
@@ -330,7 +239,7 @@ bool Engine::locate() {
     if (ft == nullptr ||
         fires_later(ft->at, ft->key, ft->seq, bn.at, bn.key, bn.seq)) {
       loc_kind_ = LocKind::kWheel;
-      loc_bucket_ = best_bucket;
+      loc_bucket_ = b;
       loc_idx_ = best;
       loc_prev_ = best_prev;
       loc_time_ = bn.at;
@@ -365,20 +274,6 @@ std::uint32_t Engine::take_located() {
     node(loc_prev_).next = node(idx).next;
   }
   --wheel_count_;
-  // Promote the runner-up to wheel minimum.  With untracked live
-  // events left in the bucket (or none at all) the front knowledge is
-  // spent, and the next locate() rescans from the cursor.
-  if (wf_valid_ && idx == w1_idx_) {
-    if (w2_state_ == W2::kKnown) {
-      if (w2_prev_ == idx) w2_prev_ = loc_prev_;  // unlink bridged it
-      w1_idx_ = w2_idx_;
-      w1_prev_ = w2_prev_;
-      w2_state_ = w2_more_ ? W2::kUnknown : W2::kNone;
-      w2_more_ = false;
-    } else {
-      wf_valid_ = false;
-    }
-  }
   return idx;
 }
 
@@ -391,9 +286,7 @@ void Engine::fire_located() {
   if (n.slot1 != 0) {
     // Fired: retire the generation first so the handle reports
     // !pending() from inside the callback and from same-instant peers.
-    TimerSlot& s = slots_[n.slot1 - 1];
-    ++s.gen;
-    s.armed = false;
+    ++slot_gen_[n.slot1 - 1];
     free_slots_.push_back(n.slot1 - 1);
   }
   // Invoke in place: the slab never relocates records, so the closure
@@ -409,25 +302,16 @@ void Engine::fire_located() {
 
 void Engine::timer_cancel(std::uint32_t slot1, std::uint32_t gen) {
   if (slot1 == 0) return;
-  TimerSlot& s = slots_[slot1 - 1];
-  if (s.gen != gen) return;  // already fired, cancelled, or shut down
-  ++s.gen;
-  s.armed = false;
+  std::uint32_t& slot_gen = slot_gen_[slot1 - 1];
+  if (slot_gen != gen) return;  // already fired, cancelled, or shut down
+  ++slot_gen;
   free_slots_.push_back(slot1 - 1);
   note_cancelled();
 }
 
 void Engine::note_cancelled() {
-  // The caches only care about a cancellation of a tracked node; any
+  // The pop cache only cares about a cancellation of its candidate; any
   // other event was already firing later and still is.
-  if (wf_valid_) {
-    if (node_dead(node(w1_idx_))) {
-      wf_valid_ = false;
-    } else if (w2_state_ == W2::kKnown && node_dead(node(w2_idx_))) {
-      w2_state_ = W2::kUnknown;
-      w2_more_ = false;
-    }
-  }
   if (loc_valid_ && loc_kind_ != LocKind::kNone &&
       node_dead(node(loc_idx_))) {
     loc_valid_ = false;
@@ -440,7 +324,6 @@ void Engine::note_cancelled() {
 
 void Engine::compact() {
   loc_valid_ = false;
-  wf_valid_ = false;
   for (std::size_t w = 0; w < kWords; ++w) {
     std::uint64_t bits = occupied_[w];
     while (bits != 0) {
@@ -488,12 +371,10 @@ TimerHandle Engine::schedule_cancellable(Duration delay, EventFn fn) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.push_back(TimerSlot{});
+    slot = static_cast<std::uint32_t>(slot_gen_.size());
+    slot_gen_.push_back(0);
   }
-  TimerSlot& s = slots_[slot];
-  s.armed = true;
-  const std::uint32_t gen = s.gen;
+  const std::uint32_t gen = slot_gen_[slot];
   push_event(now_ + delay, next_seq_++, std::move(fn), slot + 1, gen);
   return TimerHandle(this, slot + 1, gen);
 }

@@ -221,13 +221,6 @@ class Engine {
     std::uint64_t key;
     std::uint32_t idx;
   };
-  struct Later {
-    bool operator()(const FarEntry& a, const FarEntry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      if (a.key != b.key) return a.key > b.key;
-      return a.seq > b.seq;
-    }
-  };
   // True when a should fire later than b: the engine's one event order.
   static bool fires_later(Time a_at, std::uint64_t a_key, std::uint64_t a_seq,
                           Time b_at, std::uint64_t b_key,
@@ -236,12 +229,11 @@ class Engine {
     if (a_key != b_key) return a_key > b_key;
     return a_seq > b_seq;
   }
-  // A cancellable event's liveness ticket.  The generation bumps when
-  // the event fires, is cancelled, or the engine shuts down; a Node
-  // or TimerHandle whose gen no longer matches is dead.
-  struct TimerSlot {
-    std::uint32_t gen = 0;
-    bool armed = false;
+  // Max-heap "less" for the overflow, so its top fires first.
+  struct Later {
+    bool operator()(const FarEntry& a, const FarEntry& b) const {
+      return fires_later(a.at, a.key, a.seq, b.at, b.key, b.seq);
+    }
   };
 
   // -- timer wheel geometry ---------------------------------------------
@@ -289,7 +281,7 @@ class Engine {
   void push_event(Time at, std::uint64_t seq, EventFn&& fn, std::uint32_t slot1,
                   std::uint32_t gen);
   [[nodiscard]] bool node_dead(const Node& n) const {
-    return n.slot1 != 0 && slots_[n.slot1 - 1].gen != n.gen;
+    return n.slot1 != 0 && slot_gen_[n.slot1 - 1] != n.gen;
   }
   // Finds the next live event across wheel and overflow heap (pruning
   // dead ones on the way) and caches its location; returns false when
@@ -309,7 +301,7 @@ class Engine {
 
   [[nodiscard]] bool timer_pending(std::uint32_t slot1,
                                    std::uint32_t gen) const {
-    return slot1 != 0 && slots_[slot1 - 1].gen == gen;
+    return slot1 != 0 && slot_gen_[slot1 - 1] == gen;
   }
   void timer_cancel(std::uint32_t slot1, std::uint32_t gen);
   // Called on cancellation; rebuilds the queues without the dead
@@ -351,14 +343,14 @@ class Engine {
   // filter the underlying vector (std::priority_queue hides it).
   std::vector<FarEntry> far_;
 
-  // Cached pop candidate (locate() fills): lets run_until peek at the
-  // next fire time and then take it without a second scan, and survives
-  // pushes of later-firing events — push_event either retargets the
-  // cache at the new event (if it fires earlier, it IS the new minimum)
-  // or keeps it with one comparator call, so the fire→reschedule cycle
-  // of a steady-state workload never rescans the wheel.  Only a
-  // cancellation of the cached event itself or a compact() forces a
-  // rescan.
+  // Cached pop candidate (locate() fills, take_located() spends): lets
+  // run_until peek at the next fire time and then take it without a
+  // second scan, and survives pushes made between a peek and the take
+  // (a caller scheduling work after run_until stopped short of its
+  // deadline) — push_event either retargets the cache at the new event
+  // (if it fires earlier, it IS the new minimum) or keeps it with one
+  // comparator call.  Only a cancellation of the cached event itself or
+  // a compact() forces a rescan.
   enum class LocKind : std::uint8_t { kNone, kWheel, kFar };
   bool loc_valid_ = false;
   LocKind loc_kind_ = LocKind::kNone;
@@ -369,26 +361,10 @@ class Engine {
   std::uint64_t loc_key_ = 0;      // candidate's tie key and sequence,
   std::uint64_t loc_seq_ = 0;      // kept so pushes can compare cheaply
 
-  // Wheel-front cache: what the last chain scan learned about the
-  // lowest occupied bucket.  w1 is the comparator minimum of the whole
-  // wheel (bucket order is time order, so the front bucket's minimum
-  // beats every later bucket); w2 is the runner-up within that same
-  // bucket — kNone means w1 is alone, kUnknown means untracked live
-  // events remain and the bucket must be rescanned when w1 goes.
-  // Pushes and pops maintain this in O(1), so the steady-state
-  // fire→reschedule cycle touches chains only when the front bucket
-  // drains.
-  enum class W2 : std::uint8_t { kNone, kKnown, kUnknown };
-  bool wf_valid_ = false;
-  bool w2_more_ = false;  // bucket held live events beyond w1 and w2
-  W2 w2_state_ = W2::kNone;
-  std::uint64_t wf_bucket_ = 0;
-  std::uint32_t w1_idx_ = kNil;
-  std::uint32_t w1_prev_ = kNil;
-  std::uint32_t w2_idx_ = kNil;
-  std::uint32_t w2_prev_ = kNil;
-
-  std::vector<TimerSlot> slots_;
+  // Timer slots: one liveness generation per slot.  It bumps when the
+  // slot's event fires or is cancelled and when the engine shuts down;
+  // a Node or TimerHandle whose gen no longer matches is dead.
+  std::vector<std::uint32_t> slot_gen_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t cancelled_ = 0;
   bool stop_requested_ = false;

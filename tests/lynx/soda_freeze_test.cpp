@@ -8,7 +8,8 @@
 // We force the fallback: the mover's cache capacity is zero (it forgets
 // and un-advertises moved names immediately) and the broadcast medium
 // drops everything (discover can never succeed).  Only the freeze
-// search can find the link.
+// search can find the link — or, once its holder's SODA process is
+// gone, find that nobody holds it.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -27,12 +28,15 @@ using net::NodeId;
 
 struct FreezeWorldResult {
   bool served = false;
+  bool late_link_destroyed = false;  // the late call raised kLinkDestroyed
   std::uint64_t freezes = 0;
   std::uint64_t discover_failures = 0;
   std::uint64_t moved_redirects = 0;
 };
 
-FreezeWorldResult run(double broadcast_drop, bool enable_freeze) {
+// With `kill_holder`, B's SODA process is terminated at its kernel after
+// the move and before C's late call, so no live process holds the end.
+FreezeWorldResult run(double broadcast_drop, bool kill_holder) {
   sim::Engine engine;
   SodaDirectory directory;
   net::CsmaBusParams bus;
@@ -40,8 +44,6 @@ FreezeWorldResult run(double broadcast_drop, bool enable_freeze) {
   soda::Network network(engine, 5, sim::Rng(31), bus);
   SodaBackendParams bp;
   bp.moved_cache_capacity = 0;  // forget moves instantly
-  bp.discover_attempts = 2;
-  bp.enable_freeze_fallback = enable_freeze;
 
   Process a(engine, "A", make_soda_backend(network, directory, NodeId(0), bp));
   Process b(engine, "B", make_soda_backend(network, directory, NodeId(1), bp));
@@ -73,6 +75,8 @@ FreezeWorldResult run(double broadcast_drop, bool enable_freeze) {
   });
   static bool served_flag;
   served_flag = false;
+  static bool late_destroyed_flag;
+  late_destroyed_flag = false;
   b.spawn_thread("serve", [&](ThreadCtx& ctx) {
     return [](ThreadCtx& cx, LinkHandle via) -> sim::Task<> {
       cx.enable_requests(via);
@@ -93,15 +97,25 @@ FreezeWorldResult run(double broadcast_drop, bool enable_freeze) {
       try {
         Message req = make_message("late", {});
         (void)co_await cx.call(l, std::move(req));
-      } catch (const LynxError&) {
-        // without the freeze fallback the link is presumed destroyed
+      } catch (const LynxError& e) {
+        late_destroyed_flag = e.kind() == ErrorKind::kLinkDestroyed;
       }
     }(ctx, l_c);
   });
+  if (kill_holder) {
+    const soda::Pid holder = dynamic_cast<SodaBackend&>(b.backend()).pid();
+    engine.spawn("kill-holder",
+                 [](sim::Engine* e, soda::Network* n,
+                    soda::Pid p) -> sim::Task<> {
+                   co_await e->sleep(sim::msec(500));  // after the move
+                   n->terminate(p);
+                 }(&engine, &network, holder));
+  }
   engine.run_until(sim::sec(30));
 
   FreezeWorldResult r;
   r.served = served_flag;
+  r.late_link_destroyed = late_destroyed_flag;
   const auto& st = dynamic_cast<SodaBackend&>(c.backend()).stats();
   r.freezes = st.freeze_searches;
   r.discover_failures = st.discover_failures;
@@ -113,24 +127,27 @@ FreezeWorldResult run(double broadcast_drop, bool enable_freeze) {
 TEST(SodaFreeze, FreezeSearchFindsFullyForgottenLink) {
   // broadcast 100% lossy: discover can never work; cache is disabled;
   // only the freeze search can locate the moved end.
-  FreezeWorldResult r = run(/*broadcast_drop=*/1.0, /*enable_freeze=*/true);
+  FreezeWorldResult r = run(/*broadcast_drop=*/1.0, /*kill_holder=*/false);
   EXPECT_TRUE(r.served);
+  EXPECT_FALSE(r.late_link_destroyed);
   EXPECT_GE(r.discover_failures, 1u);
   EXPECT_GE(r.freezes, 1u);
   EXPECT_EQ(r.moved_redirects, 0u);  // the cache really was disabled
 }
 
 TEST(SodaFreeze, WithoutFallbackLinkIsPresumedDestroyed) {
-  FreezeWorldResult r = run(/*broadcast_drop=*/1.0, /*enable_freeze=*/false);
-  // "A process that is unable to find the far end of a link must assume
-  //  it has been destroyed."
+  // The freeze search runs but no live process holds the end: "A process
+  // that is unable to find the far end of a link must assume it has been
+  // destroyed."
+  FreezeWorldResult r = run(/*broadcast_drop=*/1.0, /*kill_holder=*/true);
   EXPECT_FALSE(r.served);
+  EXPECT_TRUE(r.late_link_destroyed);
   EXPECT_GE(r.discover_failures, 1u);
-  EXPECT_EQ(r.freezes, 0u);
+  EXPECT_GE(r.freezes, 1u);
 }
 
 TEST(SodaFreeze, DiscoverAloneSufficesWhenBroadcastWorks) {
-  FreezeWorldResult r = run(/*broadcast_drop=*/0.0, /*enable_freeze=*/true);
+  FreezeWorldResult r = run(/*broadcast_drop=*/0.0, /*kill_holder=*/false);
   EXPECT_TRUE(r.served);
   EXPECT_EQ(r.freezes, 0u);  // discover found it on the first try
 }

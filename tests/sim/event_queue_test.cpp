@@ -11,14 +11,19 @@
 // of the new queue: same-instant bursts, zero delays, events landing
 // exactly on bucket boundaries, far-future events that overflow to the
 // heap, single buckets spilling past the chain threshold, and
-// cancellation storms.  Any divergence — a single swap anywhere in the
-// fire order — shows up as a mismatched id sequence.
+// cancellation storms.  A sliced variant drives the engine through
+// run_until windows and, between them, pushes and cancels from outside
+// any callback, which is the only place the engine's pop cache (the
+// located next event) outlives a push.  Any divergence — a single swap
+// anywhere in the fire order — shows up as a mismatched id sequence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <queue>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -86,6 +91,26 @@ int children_for(std::uint64_t workload_seed, std::uint64_t id) {
   return static_cast<int>(h % 3);  // 0..2 children per fired event
 }
 
+// ---- sliced runs: pushes and cancels between run_until windows ---------
+// Between windows the oracle, whose next live event is the engine's
+// cached pop candidate, scripts what the caller does: an event earlier
+// than the candidate (it retargets the cache), a later one in the
+// candidate's bucket (head-inserted in front of it), one beyond the
+// wheel window, and on odd slices a cancel of the candidate.  Injected
+// events are inert when they fire; injection stops after kInjectSlices
+// so the run still drains.
+
+constexpr Duration kSlice = usec(300);
+constexpr std::uint64_t kInjectSlices = 256;
+constexpr std::uint64_t kInjectedBase = std::uint64_t{1} << 40;  // their ids
+
+struct Op {
+  bool cancel = false;
+  Time at = 0;           // schedule: fire time
+  std::uint64_t id = 0;  // schedule: the new event; cancel: its target
+};
+using Script = std::vector<std::vector<Op>>;  // one op list per slice
+
 // ---- the oracle: the historical comparator over (at, key, seq) ---------
 
 struct OracleEvent {
@@ -102,8 +127,11 @@ struct OracleLater {
   }
 };
 
+// With `script` null, runs to completion; otherwise runs in kSlice
+// windows and records into `script` what the caller injects after each.
 std::vector<std::uint64_t> oracle_run(std::uint64_t workload_seed,
-                                      TiePolicy policy) {
+                                      TiePolicy policy,
+                                      Script* script = nullptr) {
   std::priority_queue<OracleEvent, std::vector<OracleEvent>, OracleLater> q;
   std::unordered_set<std::uint64_t> cancelled;
   std::vector<std::uint64_t> cancellable;  // ids, cancelled oldest-first
@@ -114,27 +142,70 @@ std::vector<std::uint64_t> oracle_run(std::uint64_t workload_seed,
   std::uint64_t next_id = 0;
   std::uint64_t spawned = 0;
 
-  auto push = [&](std::uint64_t id) {
-    const Time at = now + delay_for(workload_seed, id);
+  auto push_at = [&](Time at, std::uint64_t id) {
     q.push({at, oracle_tie_key(policy, next_seq), next_seq, id});
     ++next_seq;
+  };
+  auto push = [&](std::uint64_t id) {
+    push_at(now + delay_for(workload_seed, id), id);
     if (is_cancellable(workload_seed, id)) cancellable.push_back(id);
+  };
+  // Fires every live event due by `deadline`; leaves the next live
+  // event, if any, on top.
+  auto run_until = [&](Time deadline) {
+    while (!q.empty()) {
+      const OracleEvent ev = q.top();
+      if (cancelled.count(ev.id) != 0) {
+        q.pop();
+        continue;
+      }
+      if (ev.at > deadline) return;
+      q.pop();
+      now = ev.at;
+      fired.push_back(ev.id);
+      if (ev.id >= kInjectedBase) continue;
+      if (cancels_one(workload_seed, ev.id) &&
+          next_cancel < cancellable.size()) {
+        cancelled.insert(cancellable[next_cancel++]);
+      }
+      const int kids = children_for(workload_seed, ev.id);
+      for (int k = 0; k < kids && spawned < kSpawnCap; ++k, ++spawned) {
+        push(next_id++);
+      }
+    }
   };
 
   for (int i = 0; i < kInitialEvents; ++i) push(next_id++);
-  while (!q.empty()) {
-    const OracleEvent ev = q.top();
-    q.pop();
-    now = ev.at;
-    if (cancelled.count(ev.id) != 0) continue;
-    fired.push_back(ev.id);
-    if (cancels_one(workload_seed, ev.id) &&
-        next_cancel < cancellable.size()) {
-      cancelled.insert(cancellable[next_cancel++]);
+  if (script == nullptr) {
+    run_until(std::numeric_limits<Time>::max());
+    return fired;
+  }
+  std::uint64_t next_injected = kInjectedBase;
+  for (Time deadline = kSlice;; deadline += kSlice) {
+    run_until(deadline);
+    if (q.empty()) break;
+    const std::uint64_t k = script->size();
+    if (k == kInjectSlices) continue;
+    std::vector<Op>& ops = script->emplace_back();
+    auto inject = [&](Time at) {
+      ops.push_back({false, at, next_injected});
+      push_at(at, next_injected);
+      return next_injected++;
+    };
+    Time cand_at = q.top().at;
+    std::uint64_t cand_id = q.top().id;
+    if (k % 3 == 0) {
+      cand_id = inject(deadline);  // now <= deadline < the old candidate
+      cand_at = deadline;
     }
-    const int kids = children_for(workload_seed, ev.id);
-    for (int k = 0; k < kids && spawned < kSpawnCap; ++k, ++spawned) {
-      push(next_id++);
+    const bool same_bucket = (cand_at + 1) / static_cast<Time>(kBucketNs) ==
+                             cand_at / static_cast<Time>(kBucketNs);
+    inject(same_bucket ? cand_at + 1 : cand_at);
+    inject(deadline + msec(5) + static_cast<Duration>(k % 7 * kBucketNs));
+    if (k % 2 == 1 && (cand_id >= kInjectedBase ||
+                       is_cancellable(workload_seed, cand_id))) {
+      ops.push_back({true, 0, cand_id});
+      cancelled.insert(cand_id);
     }
   }
   return fired;
@@ -143,7 +214,8 @@ std::vector<std::uint64_t> oracle_run(std::uint64_t workload_seed,
 // ---- the engine, walking the same universe -----------------------------
 
 std::vector<std::uint64_t> engine_run(std::uint64_t workload_seed,
-                                      TiePolicy policy) {
+                                      TiePolicy policy,
+                                      const Script* script = nullptr) {
   Engine e;
   e.set_tie_policy(policy);
   struct State {
@@ -151,6 +223,7 @@ std::vector<std::uint64_t> engine_run(std::uint64_t workload_seed,
     std::uint64_t workload_seed = 0;
     std::vector<std::uint64_t> fired;
     std::vector<TimerHandle> cancellable;
+    std::unordered_map<std::uint64_t, TimerHandle> by_id;
     std::size_t next_cancel = 0;
     std::uint64_t next_id = 0;
     std::uint64_t spawned = 0;
@@ -163,6 +236,7 @@ std::vector<std::uint64_t> engine_run(std::uint64_t workload_seed,
     std::uint64_t id;
     void operator()() const {
       st->fired.push_back(id);
+      if (id >= kInjectedBase) return;
       if (cancels_one(st->workload_seed, id) &&
           st->next_cancel < st->cancellable.size()) {
         st->cancellable[st->next_cancel++].cancel();
@@ -175,8 +249,9 @@ std::vector<std::uint64_t> engine_run(std::uint64_t workload_seed,
     static void push(State* st, std::uint64_t id) {
       const Duration d = delay_for(st->workload_seed, id);
       if (is_cancellable(st->workload_seed, id)) {
-        st->cancellable.push_back(
-            st->e->schedule_cancellable(d, Fire{st, id}));
+        const TimerHandle h = st->e->schedule_cancellable(d, Fire{st, id});
+        st->cancellable.push_back(h);
+        st->by_id[id] = h;
       } else {
         st->e->schedule(d, Fire{st, id});
       }
@@ -184,7 +259,22 @@ std::vector<std::uint64_t> engine_run(std::uint64_t workload_seed,
   };
 
   for (int i = 0; i < kInitialEvents; ++i) Fire::push(&st, st.next_id++);
-  e.run();
+  if (script == nullptr) {
+    e.run();
+    return st.fired;
+  }
+  Time deadline = kSlice;
+  for (std::size_t k = 0; !e.run_until(deadline); ++k, deadline += kSlice) {
+    if (k >= script->size()) continue;
+    for (const Op& op : (*script)[k]) {
+      if (op.cancel) {
+        st.by_id.at(op.id).cancel();
+      } else {
+        st.by_id[op.id] =
+            e.schedule_cancellable(op.at - e.now(), Fire{&st, op.id});
+      }
+    }
+  }
   return st.fired;
 }
 
@@ -217,6 +307,20 @@ TEST_P(EventQueueOrder, MatchesUnderAShrinkerHorizon) {
     const auto got = engine_run(3, policy);
     ASSERT_EQ(got, expect) << "policy " << to_string(policy.kind)
                            << " horizon " << horizon;
+  }
+}
+
+TEST_P(EventQueueOrder, MatchesWhenCallersPushAndCancelBetweenSlices) {
+  for (std::uint64_t workload_seed = 1; workload_seed <= 4; ++workload_seed) {
+    TiePolicy policy;
+    policy.kind = GetParam();
+    policy.seed = workload_seed * 0x2545f4914f6cdd1dULL;
+    Script script;
+    const auto expect = oracle_run(workload_seed, policy, &script);
+    const auto got = engine_run(workload_seed, policy, &script);
+    ASSERT_EQ(script.size(), kInjectSlices);
+    ASSERT_EQ(got, expect) << "policy " << to_string(policy.kind)
+                           << " workload seed " << workload_seed;
   }
 }
 
@@ -270,7 +374,28 @@ TEST(EventQueueCancellation, StormKeepsCancelledPendingBounded) {
   EXPECT_EQ(e.queue_size(), 0u);
 }
 
-// ---- regressions: stale handles and drain-vs-stop -----------------------
+// ---- regressions: the pop cache, stale handles and drain-vs-stop --------
+
+TEST(EnginePopCache, LaterPushInFrontOfTheCandidateKeepsBoth) {
+  // run_until() leaves the 5000 ns event cached as the pop candidate,
+  // alone at the head of its bucket.  The 5001 ns event lands in the
+  // same bucket and is head-inserted in front of it, so the cache must
+  // learn its new chain predecessor.  Regression guard: without that,
+  // taking the candidate unlinked the new event with it, and the next
+  // step() spun forever looking for an event no bucket held.  The step
+  // budget bounds a cache that misplaces events; the test's ctest
+  // TIMEOUT bounds one that hangs.
+  Engine e;
+  std::vector<int> fired;
+  e.schedule(nsec(5000), [&] { fired.push_back(1); });
+  EXPECT_FALSE(e.run_until(nsec(1000)));
+  e.schedule_at(nsec(5001), [&] { fired.push_back(2); });
+  int steps = 0;
+  while (steps < 4 && e.step()) ++steps;
+  EXPECT_EQ(steps, 2);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  EXPECT_EQ(e.queue_size(), 0u);
+}
 
 TEST(EngineShutdown, ShutdownInvalidatesPendingHandles) {
   // Regression: pending() used to keep answering true after shutdown()
