@@ -35,7 +35,10 @@
 // exits 1 when any measured metric drops below its floor or has none,
 // so CI catches an engine slowdown in the change that introduces it.
 // recv-dead-ends is gated instead on the ratio of its two rates
-// ("recv-dead-ends_ratio_floor"), which does not drift with host speed.
+// ("recv-dead-ends_ratio_floor"), which does not drift with host speed:
+// the median over alternating 0/4096 pairs, so a burst of host load
+// during one side of one pair moves one ratio, not the gated number.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -342,15 +345,16 @@ int main(int argc, char** argv) {
   const int storm_chains = 256;
   const int storm_hops = smoke ? 4000 : 20000;
   const int calls = smoke ? 5000 : 20000;
+  const int dead_end_pairs = 9;
   std::vector<Metric> metrics;
+  auto keep_best = [](Metric& best, const Metric& m) {
+    RELYNX_ASSERT_MSG(m.events == best.events && m.sink == best.sink,
+                      "sim workloads must be deterministic");
+    if (m.events_per_sec() > best.events_per_sec()) best = m;
+  };
   auto best_of = [&](auto fn) {
     Metric best = fn();
-    for (int r = 1; r < reps; ++r) {
-      Metric m = fn();
-      RELYNX_ASSERT_MSG(m.events == best.events && m.sink == best.sink,
-                        "sim workloads must be deterministic");
-      if (m.events_per_sec() > best.events_per_sec()) best = m;
-    }
+    for (int r = 1; r < reps; ++r) keep_best(best, fn());
     return best;
   };
 
@@ -364,15 +368,25 @@ int main(int argc, char** argv) {
   for (load::Substrate sub : load::all_substrates()) {
     metrics.push_back(best_of([&] { return run_fanin(sub, smoke); }));
   }
-  const Metric live_only = best_of([&] { return run_dead_ends(0, calls); });
-  const Metric with_dead = best_of([&] { return run_dead_ends(4096, calls); });
+  // Rate with 4096 dead ends over the rate without, pair by pair: near
+  // 1 when receive() does not walk them.  The rows report each side's
+  // best run.
+  Metric live_only = run_dead_ends(0, calls);
+  Metric with_dead = run_dead_ends(4096, calls);
+  std::vector<double> ratios{with_dead.events_per_sec() /
+                             live_only.events_per_sec()};
+  for (int k = 1; k < dead_end_pairs; ++k) {
+    const Metric live = run_dead_ends(0, calls);
+    const Metric dead = run_dead_ends(4096, calls);
+    ratios.push_back(dead.events_per_sec() / live.events_per_sec());
+    keep_best(live_only, live);
+    keep_best(with_dead, dead);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const double dead_ends_ratio = ratios[ratios.size() / 2];
   for (const Metric& m : metrics) report(m);
   report(live_only);
   report(with_dead);
-  // Rate with 4096 dead ends over the rate without: near 1 when
-  // receive() does not walk them.
-  const double dead_ends_ratio =
-      with_dead.events_per_sec() / live_only.events_per_sec();
   std::printf("%-20s %60.3f\n", "recv-dead-ends 4096/0", dead_ends_ratio);
   json()
       .field("kind", "sim_speed_ratio")

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "lynx/codec.hpp"
 #include "trace/trace.hpp"
 
 namespace lynx {
@@ -80,12 +81,8 @@ namespace {
 
 Bytes encode_packet(std::uint8_t ptype, std::uint8_t enc_total,
                     const Bytes& body) {
-  Bytes out;
-  out.reserve(2 + body.size());
-  out.push_back(ptype);
-  out.push_back(enc_total);
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+  return codec::Writer(2 + body.size()).u8(ptype).u8(enc_total).bytes(body)
+      .finish();
 }
 
 }  // namespace
@@ -314,11 +311,12 @@ void CharlotteBackend::dispatch_receive(const charlotte::Completion& c) {
   }
   if (c.status != charlotte::Status::kOk) return;
   link->recv_posted = false;
-  RELYNX_ASSERT_MSG(c.data.size() >= 2, "short Charlotte packet");
-  const auto ptype = static_cast<PType>(c.data[0]);
-  const std::uint8_t enc_total = c.data[1];
-  Bytes body(c.data.begin() + 2, c.data.end());
-  on_incoming(*link, ptype, enc_total, std::move(body), c.enclosure, c.trace);
+  codec::Reader r(c.data);
+  const auto ptype = static_cast<PType>(r.u8());
+  const std::uint8_t enc_total = r.u8();
+  const auto body = r.rest();
+  on_incoming(*link, ptype, enc_total, Bytes(body.begin(), body.end()),
+              c.enclosure, c.trace);
   if (CLink* again = find(link->token)) {
     update_receive_posting(*again);
   }

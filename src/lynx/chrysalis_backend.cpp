@@ -1,10 +1,11 @@
 #include "lynx/chrysalis_backend.hpp"
 
-#include <algorithm>
+#include <array>
 #include <cstring>
 #include <string>
 #include <utility>
 
+#include "lynx/codec.hpp"
 #include "lynx/errors.hpp"
 #include "trace/trace.hpp"
 
@@ -83,62 +84,9 @@ constexpr std::size_t kObjectSize = kOffSlots + 4 * (4 + kMaxMessageBytes);
 // u8 side) | u64 trace.  The trailing trace word carries the causal
 // identity through the shared-memory link object: Chrysalis has no
 // network frame to stamp, so it rides in the buffer encoding itself.
-Bytes encode_buffer(const Bytes& body,
-                    const std::vector<std::pair<std::uint64_t,
-                                                std::uint8_t>>& encs,
-                    std::uint64_t trace) {
-  Bytes out;
-  out.reserve(4 + body.size() + 1 + encs.size() * 9 + 8);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(body.size() >> (8 * i)));
-  }
-  out.insert(out.end(), body.begin(), body.end());
-  out.push_back(static_cast<std::uint8_t>(encs.size()));
-  for (const auto& [obj, side] : encs) {
-    for (int i = 0; i < 8; ++i) {
-      out.push_back(static_cast<std::uint8_t>(obj >> (8 * i)));
-    }
-    out.push_back(side);
-  }
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(trace >> (8 * i)));
-  }
-  return out;
-}
-
-struct DecodedBuffer {
-  Bytes body;
-  std::vector<std::pair<std::uint64_t, std::uint8_t>> encs;
-  std::uint64_t trace = 0;
-};
-
-DecodedBuffer decode_buffer(const Bytes& raw) {
-  DecodedBuffer out;
-  RELYNX_ASSERT(raw.size() >= 5);
-  std::size_t pos = 0;
-  std::uint32_t body_len = 0;
-  for (int i = 0; i < 4; ++i) {
-    body_len |= static_cast<std::uint32_t>(raw[pos++]) << (8 * i);
-  }
-  RELYNX_ASSERT(pos + body_len + 1 <= raw.size());
-  out.body.assign(raw.begin() + static_cast<std::ptrdiff_t>(pos),
-                  raw.begin() + static_cast<std::ptrdiff_t>(pos + body_len));
-  pos += body_len;
-  const std::uint8_t n = raw[pos++];
-  for (std::uint8_t i = 0; i < n; ++i) {
-    RELYNX_ASSERT(pos + 9 <= raw.size());
-    std::uint64_t obj = 0;
-    for (int b = 0; b < 8; ++b) {
-      obj |= static_cast<std::uint64_t>(raw[pos++]) << (8 * b);
-    }
-    out.encs.emplace_back(obj, raw[pos++]);
-  }
-  if (pos + 8 <= raw.size()) {
-    for (int b = 0; b < 8; ++b) {
-      out.trace |= static_cast<std::uint64_t>(raw[pos++]) << (8 * b);
-    }
-  }
-  return out;
+[[nodiscard]] constexpr std::size_t buffer_size(std::size_t body,
+                                                std::size_t encs) {
+  return 4 + body + 1 + 9 * encs + 8;
 }
 
 }  // namespace
@@ -266,10 +214,10 @@ sim::Task<std::pair<BLink, BLink>> ChrysalisBackend::make_link() {
 std::unique_ptr<PendingSend> ChrysalisBackend::begin_send(BLink link,
                                                           WireMessage msg) {
   // The whole encoded message must fit the link's per-direction buffer
-  // (encode_buffer's layout); refuse it before any slot or notice moves,
-  // so the link stays usable for a smaller message.
+  // (buffer_size); refuse it before any slot or notice moves, so the
+  // link stays usable for a smaller message.
   const std::size_t encoded =
-      4 + msg.body.size() + 1 + 9 * msg.enclosures.size() + 8;
+      buffer_size(msg.body.size(), msg.enclosures.size());
   if (encoded > kMaxMessageBytes) {
     throw LynxError(ErrorKind::kMessageTooLarge,
                     std::to_string(encoded) + " bytes exceed the " +
@@ -329,25 +277,27 @@ sim::Task<> ChrysalisBackend::perform_send(BLink link, WireMessage msg,
     }
   }
 
-  // Encode and write the buffer.
-  std::vector<std::pair<std::uint64_t, std::uint8_t>> encs;
+  // One block transfer covers the slot's length word and the buffer —
+  // the flag bit (set below) is what publishes the slot, so the
+  // combined write needs no internal ordering.  The length word is in
+  // host order: the receiver reads it in place with read32.
+  const auto len = static_cast<std::uint32_t>(
+      buffer_size(msg.body.size(), msg.enclosures.size()));
+  std::array<std::uint8_t, 4> word;
+  std::memcpy(word.data(), &len, 4);
+  codec::Writer w(4 + len);
+  w.bytes(word).blob(msg.body).u8(
+      static_cast<std::uint8_t>(msg.enclosures.size()));
   for (BLink e : msg.enclosures) {
     LinkRec* er = find(e);
     RELYNX_ASSERT_MSG(er != nullptr, "enclosure token unknown");
-    encs.emplace_back(er->obj.value(), er->side);
+    w.u64(er->obj.value()).u8(er->side);
   }
-  Bytes buf = encode_buffer(msg.body, encs, msg.trace_id);
-  // One block transfer covers the length word and the payload — the
-  // flag bit (set below) is what publishes the slot, so the combined
-  // write needs no internal ordering.
-  Bytes framed(4 + buf.size());
-  const auto frame_len = static_cast<std::uint32_t>(buf.size());
-  std::memcpy(framed.data(), &frame_len, 4);
-  std::copy(buf.begin(), buf.end(), framed.begin() + 4);
-  (void)co_await kernel_->block_write(pid_, obj, slot_offset(slot), framed);
+  const Bytes filled = w.u64(msg.trace_id).finish();
+  (void)co_await kernel_->block_write(pid_, obj, slot_offset(slot), filled);
   if (auto* rec2 = trace::get(engine())) {
     rec2->instant(trace_node(), "backend", "slot.fill", msg.trace_id,
-                  static_cast<std::uint64_t>(slot), buf.size());
+                  static_cast<std::uint64_t>(slot), len);
   }
   // Set the flag FIRST, then read the peer's dual-queue name: this
   // ordering (against the mover's write-name-then-inspect-flags) is what
@@ -452,7 +402,14 @@ sim::Task<> ChrysalisBackend::consume_incoming(chrysalis::MemId obj,
   if (!raw.ok()) co_return;
   (void)co_await kernel_->fetch_and16(
       pid_, obj, kOffFlags, static_cast<std::uint16_t>(~slot_bit(slot)));
-  DecodedBuffer decoded = decode_buffer(raw.value());
+  codec::Reader r(raw.value());  // perform_send's buffer
+  const auto body = r.blob();
+  std::vector<std::pair<chrysalis::MemId, std::uint8_t>> encs(r.u8());
+  for (auto& [eobj, eside] : encs) {
+    eobj = chrysalis::MemId(r.u64());
+    eside = r.u8();
+  }
+  const std::uint64_t trace_id = r.u64();
   // Ack the producer (DESIGN.md §12):
   //  * enclosure-free replies: the sender resolved early at the flag
   //    write — nobody is parked on the hint, skip the dq round trip;
@@ -466,14 +423,14 @@ sim::Task<> ChrysalisBackend::consume_incoming(chrysalis::MemId obj,
   const std::uint8_t sender_side = recv_side ^ 1;
   if (slot_is_reply(slot)) {
     handle_consumed(obj, recv_side == 0 ? 0 : 2);
-    if (!decoded.encs.empty()) co_await post_consumed(obj, sender_side, slot);
+    if (!encs.empty()) co_await post_consumed(obj, sender_side, slot);
   } else if (rec = side_rec(obj, recv_side);  // re-find: awaits may rehash
              rec != nullptr && !rec->destroyed) {
     const BLink owed_token = rec->token;
     if (rec->consumed_owed) rec->consumed_timer.cancel();
     rec->consumed_owed = true;
     rec->consumed_slot = slot;
-    rec->consumed_trace = decoded.trace;
+    rec->consumed_trace = trace_id;
     rec->consumed_timer = engine().schedule_cancellable(
         kConsumedCoalesceDelay, [this, owed_token] {
           engine().spawn("chrysalis-consumed",
@@ -483,14 +440,13 @@ sim::Task<> ChrysalisBackend::consume_incoming(chrysalis::MemId obj,
     co_await post_consumed(obj, sender_side, slot);
   }
   if (auto* trec = trace::get(engine())) {
-    trec->instant(trace_node(), "backend", "slot.consume", decoded.trace,
+    trec->instant(trace_node(), "backend", "slot.consume", trace_id,
                   static_cast<std::uint64_t>(slot), raw.value().size());
   }
   // Install moved ends: map, write our dual-queue name (non-atomic),
   // THEN inspect flags and self-notice anything already set.
   std::vector<BLink> enclosures;
-  for (const auto& [eobj_raw, eside] : decoded.encs) {
-    const chrysalis::MemId eobj(eobj_raw);
+  for (const auto& [eobj, eside] : encs) {
     (void)co_await kernel_->map(pid_, eobj);
     (void)co_await kernel_->write32(
         pid_, eobj, dq_offset(eside),
@@ -515,8 +471,8 @@ sim::Task<> ChrysalisBackend::consume_incoming(chrysalis::MemId obj,
 
   upcall_arrival(token,
                  slot_is_reply(slot) ? MsgKind::kReply : MsgKind::kRequest,
-                 std::move(decoded.body), std::move(enclosures),
-                 decoded.trace);
+                 Bytes(body.begin(), body.end()), std::move(enclosures),
+                 trace_id);
 }
 
 sim::Task<> ChrysalisBackend::recheck_link(chrysalis::MemId obj) {

@@ -1,9 +1,10 @@
 #include "lynx/message.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 
 #include "common/assert.hpp"
+#include "lynx/codec.hpp"
 
 namespace lynx {
 
@@ -43,18 +44,6 @@ Message make_message(std::string op, std::vector<Value> args) {
 
 namespace {
 
-// Little-endian, a byte at a time, so the wire is host-independent.
-std::uint8_t* put_le(std::uint8_t* p, std::uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) *p++ = static_cast<std::uint8_t>(v >> (8 * i));
-  return p;
-}
-
-template <typename Seq>
-std::uint8_t* put_blob(std::uint8_t* p, const Seq& seq) {
-  p = put_le(p, seq.size(), 4);
-  return std::copy(seq.begin(), seq.end(), p);
-}
-
 // Bytes an argument takes after its tag byte.
 std::size_t payload_size(const Value& v) {
   switch (type_of(v)) {
@@ -67,81 +56,44 @@ std::size_t payload_size(const Value& v) {
   return 0;
 }
 
-struct Reader {
-  const Bytes& in;
-  std::size_t pos = 0;
-
-  [[nodiscard]] std::size_t remaining() const { return in.size() - pos; }
-
-  std::uint8_t u8() {
-    RELYNX_ASSERT_MSG(pos < in.size(), "truncated LYNX message");
-    return in[pos++];
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(u8()) << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(u8()) << (8 * i);
-    return v;
-  }
-  Bytes blob(std::size_t n) {
-    RELYNX_ASSERT_MSG(pos + n <= in.size(), "truncated LYNX message");
-    Bytes out(in.begin() + static_cast<std::ptrdiff_t>(pos),
-              in.begin() + static_cast<std::ptrdiff_t>(pos + n));
-    pos += n;
-    return out;
-  }
-};
-
 }  // namespace
 
 Serialized serialize(const Message& m) {
-  // One exact-size buffer, filled through a cursor: no regrowth.
   std::size_t size = 4 + m.op.size() + 4;
   for (const Value& v : m.args) size += 1 + payload_size(v);
+  codec::Writer w(size);
+  w.blob(m.op).u32(static_cast<std::uint32_t>(m.args.size()));
   Serialized out;
-  out.body.resize(size);
-  std::uint8_t* p = put_blob(out.body.data(), m.op);
-  p = put_le(p, m.args.size(), 4);
   for (const Value& v : m.args) {
-    *p++ = static_cast<std::uint8_t>(type_of(v));
+    w.u8(static_cast<std::uint8_t>(type_of(v)));
     switch (type_of(v)) {
       case ValueType::kInt:
-        p = put_le(p, static_cast<std::uint64_t>(std::get<std::int64_t>(v)),
-                   8);
+        w.u64(static_cast<std::uint64_t>(std::get<std::int64_t>(v)));
         break;
-      case ValueType::kReal: {
-        std::uint64_t bits;
-        const double d = std::get<double>(v);
-        std::memcpy(&bits, &d, 8);
-        p = put_le(p, bits, 8);
+      case ValueType::kReal:
+        w.u64(std::bit_cast<std::uint64_t>(std::get<double>(v)));
         break;
-      }
       case ValueType::kString:
-        p = put_blob(p, std::get<std::string>(v));
+        w.blob(std::get<std::string>(v));
         break;
       case ValueType::kBytes:
-        p = put_blob(p, std::get<Bytes>(v));
+        w.blob(std::get<Bytes>(v));
         break;
       case ValueType::kLink:
-        p = put_le(p, out.enclosures.size(), 4);
+        w.u32(static_cast<std::uint32_t>(out.enclosures.size()));
         out.enclosures.push_back(std::get<LinkHandle>(v));
         break;
     }
   }
-  RELYNX_ASSERT(p == out.body.data() + out.body.size());
+  out.body = w.finish();
   return out;
 }
 
 Message deserialize(const Bytes& body,
                     const std::vector<LinkHandle>& enclosures) {
-  Reader r{body};
+  codec::Reader r(body);
   Message m;
-  const std::uint32_t op_len = r.u32();
-  const Bytes op = r.blob(op_len);
+  const auto op = r.blob();
   m.op.assign(op.begin(), op.end());
   const std::uint32_t argc = r.u32();
   // Every arg takes at least its tag byte, so a count beyond the bytes
@@ -155,21 +107,20 @@ Message deserialize(const Bytes& body,
       case ValueType::kInt:
         m.args.emplace_back(static_cast<std::int64_t>(r.u64()));
         break;
-      case ValueType::kReal: {
-        const std::uint64_t bits = r.u64();
-        double d;
-        std::memcpy(&d, &bits, 8);
-        m.args.emplace_back(d);
+      case ValueType::kReal:
+        m.args.emplace_back(std::bit_cast<double>(r.u64()));
         break;
-      }
       case ValueType::kString: {
-        const Bytes s = r.blob(r.u32());
-        m.args.emplace_back(std::string(s.begin(), s.end()));
+        const auto s = r.blob();
+        m.args.emplace_back(std::in_place_type<std::string>, s.begin(),
+                            s.end());
         break;
       }
-      case ValueType::kBytes:
-        m.args.emplace_back(r.blob(r.u32()));
+      case ValueType::kBytes: {
+        const auto b = r.blob();
+        m.args.emplace_back(std::in_place_type<Bytes>, b.begin(), b.end());
         break;
+      }
       case ValueType::kLink: {
         const std::uint32_t idx = r.u32();
         RELYNX_ASSERT_MSG(idx < enclosures.size(),

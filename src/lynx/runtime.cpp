@@ -180,7 +180,7 @@ void Process::on_backend_event(BackendEvent ev) {
       std::vector<LinkHandle> handles;
       handles.reserve(ev.enclosures.size());
       for (BLink e : ev.enclosures) handles.push_back(adopt_link(e));
-      Delivered d{deserialize(ev.body, handles), ev.body, ev.trace};
+      Delivered d{deserialize(ev.body, handles), ev.body.size(), ev.trace};
 
       if (ev.kind == BackendEvent::Kind::kRequestArrived) {
         if (!declared_ops_.empty() && !declared_ops_.contains(d.msg.op)) {
@@ -256,9 +256,7 @@ void Process::on_backend_event(BackendEvent ev) {
 }
 
 std::vector<BLink> Process::check_and_stage_enclosures(
-    const Message& m, LinkHandle carrier,
-    const std::vector<LinkHandle>& handles) {
-  (void)m;
+    LinkHandle carrier, const std::vector<LinkHandle>& handles) {
   std::vector<BLink> blinks;
   blinks.reserve(handles.size());
   for (LinkHandle h : handles) {
@@ -416,7 +414,7 @@ sim::Task<Message> ThreadCtx::call(LinkHandle link, Message request) {
 
   Process::LinkState& ls = p.require_link(link);
   std::vector<BLink> blinks =
-      p.check_and_stage_enclosures(request, link, ser.enclosures);
+      p.check_and_stage_enclosures(link, ser.enclosures);
 
   // "A now expects a reply on L and starts a receive activity": the
   // reply queue opens when the request is SENT (paper §2.1/§3.2.1),
@@ -510,11 +508,10 @@ sim::Task<Message> ThreadCtx::call(LinkHandle link, Message request) {
 
   // scatter + type check
   trace::SpanScope scatter_span(rec, tnode, "runtime", "call.scatter",
-                                call_trace, reply_msg.raw_body.size());
+                                call_trace, reply_msg.body_bytes);
   co_await engine().sleep(
       p.costs_.per_operation +
-      p.costs_.per_byte *
-          static_cast<sim::Duration>(reply_msg.raw_body.size()));
+      p.costs_.per_byte * static_cast<sim::Duration>(reply_msg.body_bytes));
   if (reply_msg.msg.op == "%reject") {
     throw_traced(rec, tnode, call_trace, ErrorKind::kOperationRejected,
                  request.op);
@@ -548,10 +545,10 @@ sim::Task<Incoming> ThreadCtx::receive() {
       {
         trace::SpanScope scatter(trace::get(engine()),
                                  p.backend_->trace_node(), "runtime",
-                                 "recv.scatter", d.trace, d.raw_body.size());
+                                 "recv.scatter", d.trace, d.body_bytes);
         co_await engine().sleep(
             p.costs_.per_operation +
-            p.costs_.per_byte * static_cast<sim::Duration>(d.raw_body.size()));
+            p.costs_.per_byte * static_cast<sim::Duration>(d.body_bytes));
       }
       // A sibling may have destroyed the end during the sleep; the
       // obligation still stands, and reply() reports the dead link.
@@ -604,7 +601,7 @@ sim::Task<void> ThreadCtx::reply(const Incoming& incoming, Message reply_msg) {
                  "reply on destroyed link");
   }
   std::vector<BLink> blinks =
-      p.check_and_stage_enclosures(reply_msg, link, ser.enclosures);
+      p.check_and_stage_enclosures(link, ser.enclosures);
 
   trace::SpanScope send_span(rec, tnode, "runtime", "reply.send",
                              incoming.trace, ser.body.size());

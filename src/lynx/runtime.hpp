@@ -17,8 +17,8 @@
 //   * kernel failures reflected as LynxError exceptions.
 #pragma once
 
-#include <deque>
 #include <functional>
+#include <list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -136,7 +136,7 @@ class Process {
 
   struct Delivered {
     Message msg;
-    Bytes raw_body;  // kept for size accounting
+    std::size_t body_bytes = 0;  // serialized size, for the scatter cost
     std::uint64_t trace = 0;
   };
   struct CallRecord {
@@ -151,8 +151,11 @@ class Process {
     BLink blink;
     bool open_requests = false;
     bool destroyed = false;
-    std::deque<Delivered> request_q;
-    std::deque<Delivered> reply_q;
+    // Lists, not deques: a deque allocates a node even when empty, and
+    // a process keeps every end it has not destroyed, the ones whose
+    // peers destroyed them included.
+    std::list<Delivered> request_q;
+    std::list<Delivered> reply_q;
     CallRecord* active_call = nullptr;  // at most one outstanding call
     std::unique_ptr<sim::WaitList> call_serializer;
     int owed_replies = 0;
@@ -186,8 +189,7 @@ class Process {
   [[nodiscard]] sim::Task<> run_thread_body(ThreadId tid, ThreadBody body);
   void drop_link(LinkHandle h);
   [[nodiscard]] std::vector<BLink> check_and_stage_enclosures(
-      const Message& m, LinkHandle carrier,
-      const std::vector<LinkHandle>& handles);
+      LinkHandle carrier, const std::vector<LinkHandle>& handles);
 
   sim::Engine* engine_;
   std::string name_;

@@ -1,6 +1,6 @@
 #include "lynx/soda_backend.hpp"
 
-#include <algorithm>
+#include "lynx/codec.hpp"
 
 namespace lynx {
 
@@ -11,72 +11,12 @@ constexpr std::size_t kBigBuffer = 64 * 1024;
 // Broadcast discover tries before falling back to the freeze search.
 constexpr int kDiscoverAttempts = 3;
 
-// put data layout: [u8 n_enc][per enc: u64 my_name, u64 peer_name,
-// u32 hint_pid][body...]
-soda::Payload encode_put(const Bytes& body,
-                         const std::vector<std::array<std::uint64_t, 3>>&
-                             encs) {
-  soda::Payload out;
-  out.reserve(1 + encs.size() * 20 + body.size());
-  out.push_back(static_cast<std::uint8_t>(encs.size()));
-  for (const auto& e : encs) {
-    for (int w = 0; w < 2; ++w) {
-      for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<std::uint8_t>(e[static_cast<std::size_t>(w)] >> (8 * i)));
-      }
-    }
-    for (int i = 0; i < 4; ++i) {
-      out.push_back(static_cast<std::uint8_t>(e[2] >> (8 * i)));
-    }
-  }
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
-}
-
-struct DecodedPut {
-  Bytes body;
-  std::vector<std::array<std::uint64_t, 3>> encs;
-};
-
-DecodedPut decode_put(const soda::Payload& raw) {
-  DecodedPut out;
-  RELYNX_ASSERT(!raw.empty());
-  std::size_t pos = 0;
-  const std::uint8_t n = raw[pos++];
-  for (std::uint8_t k = 0; k < n; ++k) {
-    RELYNX_ASSERT(pos + 20 <= raw.size());
-    std::array<std::uint64_t, 3> e{};
-    for (int w = 0; w < 2; ++w) {
-      for (int i = 0; i < 8; ++i) {
-        e[static_cast<std::size_t>(w)] |=
-            static_cast<std::uint64_t>(raw[pos++]) << (8 * i);
-      }
-    }
-    for (int i = 0; i < 4; ++i) {
-      e[2] |= static_cast<std::uint64_t>(raw[pos++]) << (8 * i);
-    }
-    out.encs.push_back(e);
-  }
-  out.body.assign(raw.begin() + static_cast<std::ptrdiff_t>(pos), raw.end());
-  return out;
-}
-
 soda::Payload encode_name(soda::Name name) {
-  soda::Payload out(8);
-  for (int i = 0; i < 8; ++i) {
-    out[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(name.value() >> (8 * i));
-  }
-  return out;
+  return codec::Writer(8).u64(name.value()).finish();
 }
 
 soda::Name decode_name(const soda::Payload& raw) {
-  RELYNX_ASSERT(raw.size() >= 8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(raw[static_cast<std::size_t>(i)]) << (8 * i);
-  }
-  return soda::Name(v);
+  return soda::Name(codec::Reader(raw).u64());
 }
 
 }  // namespace
@@ -188,15 +128,18 @@ std::unique_ptr<PendingSend> SodaBackend::begin_send(BLink token,
   out.kind = msg.kind;
   out.ps = ps.get();
   out.trace = msg.trace_id;
-  std::vector<std::array<std::uint64_t, 3>> encs;
+  // put data: [u8 n_enc][per enc: u64 my_name, u64 peer_name,
+  // u32 hint_pid][body...]
+  codec::Writer w(1 + 20 * msg.enclosures.size() + msg.body.size());
+  w.u8(static_cast<std::uint8_t>(msg.enclosures.size()));
   for (BLink e : msg.enclosures) {
     SLink* rec = find(e);
     RELYNX_ASSERT_MSG(rec != nullptr, "unknown enclosure token");
-    encs.push_back({rec->my_name.value(), rec->peer_name.value(),
-                    rec->peer_hint.value()});
+    w.u64(rec->my_name.value()).u64(rec->peer_name.value());
+    w.u32(rec->peer_hint.value());
     out.enclosure_tokens.push_back(e);
   }
-  out.data = encode_put(msg.body, encs);
+  out.data = w.bytes(msg.body).finish();
   outs_.emplace(id, std::move(out));
   engine().spawn("soda-send", issue_send(id));
   return ps;
@@ -681,17 +624,18 @@ sim::Task<> SodaBackend::accept_msg(BLink token, soda::ReqId req, MsgKind kind,
 sim::Task<> SodaBackend::deliver(SLink& link, MsgKind kind,
                                  const soda::Payload& raw,
                                  std::uint64_t trace) {
-  DecodedPut decoded = decode_put(raw);
+  codec::Reader r(raw);  // begin_send's put data
   std::vector<BLink> enclosures;
   soda::Kernel& k = network_->kernel_of(pid_);
-  for (const auto& e : decoded.encs) {
-    const soda::Name my_name(e[0]);
-    const soda::Name peer_name(e[1]);
-    const soda::Pid hint(static_cast<std::uint32_t>(e[2]));
+  for (std::uint8_t n = r.u8(); n > 0; --n) {
+    const soda::Name my_name(r.u64());
+    const soda::Name peer_name(r.u64());
+    const soda::Pid hint(r.u32());
     (void)co_await k.advertise(pid_, my_name);
     enclosures.push_back(adopt_end(my_name, peer_name, hint));
   }
-  upcall_arrival(link.token, kind, std::move(decoded.body),
+  const auto body = r.rest();
+  upcall_arrival(link.token, kind, Bytes(body.begin(), body.end()),
                  std::move(enclosures), trace);
 }
 

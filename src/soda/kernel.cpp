@@ -139,18 +139,14 @@ void Kernel::advance_base(net::NodeId from, std::uint64_t base,
 
 std::uint64_t Kernel::tx_frontier(net::NodeId dst) {
   std::uint64_t base = peer_tx_[dst].next_tseq;
-  for (const auto& [req, ts] : transport_) {
-    if (ts.dst != dst) continue;
-    for (std::size_t i = 0; i < ts.tseq.size(); ++i) {
-      if (!ts.acked[i]) base = std::min(base, ts.tseq[i]);
+  const auto lower = [&](const Leg& leg) {
+    if (leg.dst != dst) return;
+    for (std::size_t i = 0; i < leg.tseq.size(); ++i) {
+      if (!leg.acked[i]) base = std::min(base, leg.tseq[i]);
     }
-  }
-  for (const auto& [req, pa] : pending_accepts_) {
-    if (pa.dst != dst) continue;
-    for (std::size_t i = 0; i < pa.tseq.size(); ++i) {
-      if (!pa.acked[i]) base = std::min(base, pa.tseq[i]);
-    }
-  }
+  };
+  for (const auto& [req, leg] : transport_) lower(leg);
+  for (const auto& [req, pa] : pending_accepts_) lower(pa.leg);
   return base;
 }
 
@@ -209,47 +205,37 @@ void Kernel::attach_frag_ack(net::NodeId dst, WireFrame& frame) {
 
 // ---- transport acks: sender side ---------------------------------------
 
-void Kernel::apply_cumulative_ack(net::NodeId from, std::uint64_t watermark) {
-  const sim::Time now = network_->engine().now();
-  for (auto& [req, ts] : transport_) {
-    if (ts.dst != from) continue;
-    bool all = true;
-    bool any_new = false;
-    for (std::size_t i = 0; i < ts.tseq.size(); ++i) {
-      if (!ts.acked[i] && ts.tseq[i] <= watermark) {
-        ts.acked[i] = true;
-        any_new = true;
-      }
-      all = all && ts.acked[i];
+bool Kernel::absorb_ack(Leg& leg, net::NodeId from,
+                        std::uint64_t watermark) {
+  if (leg.dst != from) return false;
+  bool all = true;
+  bool any_new = false;
+  for (std::size_t i = 0; i < leg.tseq.size(); ++i) {
+    if (!leg.acked[i] && leg.tseq[i] <= watermark) {
+      leg.acked[i] = true;
+      any_new = true;
     }
-    if (all && any_new && ts.attempts == 1 && ts.first_sent_at > 0) {
-      // Karn's rule: only unretransmitted exchanges produce samples.
-      peer_tx_[from].rtt.observe(now - ts.first_sent_at);
-      ts.first_sent_at = 0;
-    }
+    all = all && leg.acked[i];
   }
+  if (all && any_new && leg.attempts == 1 && leg.first_sent_at > 0) {
+    // Karn's rule: only unretransmitted exchanges produce samples.
+    peer_tx_[from].rtt.observe(network_->engine().now() - leg.first_sent_at);
+    leg.first_sent_at = 0;
+  }
+  return all;
+}
+
+void Kernel::apply_cumulative_ack(net::NodeId from, std::uint64_t watermark) {
+  // Request legs stay until their timer sees them acked; accept legs
+  // are done once acked.
+  for (auto& [req, leg] : transport_) (void)absorb_ack(leg, from, watermark);
   std::vector<ReqId> finished;
   for (auto& [req, pa] : pending_accepts_) {
-    if (pa.dst != from) continue;
-    bool all = true;
-    bool any_new = false;
-    for (std::size_t i = 0; i < pa.tseq.size(); ++i) {
-      if (!pa.acked[i] && pa.tseq[i] <= watermark) {
-        pa.acked[i] = true;
-        any_new = true;
-      }
-      all = all && pa.acked[i];
-    }
-    if (all) {
-      if (any_new && pa.attempts == 1 && pa.first_sent_at > 0) {
-        peer_tx_[from].rtt.observe(now - pa.first_sent_at);
-      }
-      finished.push_back(req);
-    }
+    if (absorb_ack(pa.leg, from, watermark)) finished.push_back(req);
   }
   for (const ReqId req : finished) {
     auto it = pending_accepts_.find(req);
-    it->second.timer.cancel();
+    it->second.leg.timer.cancel();
     pending_accepts_.erase(it);
   }
 }
@@ -373,51 +359,52 @@ sim::Task<std::optional<Pid>> Kernel::discover(Pid caller, Name name) {
 
 // ===================== request =====================
 
-void Kernel::send_request_frags(const Outstanding& out,
-                                const std::vector<bool>* skip) {
+template <typename Make>
+void Kernel::send_frags(net::NodeId dst, const Payload& data,
+                        std::span<const std::uint64_t> tseq,
+                        const std::vector<bool>* skip, std::uint64_t trace,
+                        Make make) {
   const std::size_t mtu = network_->costs().mtu_bytes;
-  const std::size_t len = out.data.size();
+  const std::size_t len = data.size();
   const auto frag_count = static_cast<std::uint32_t>(
       len == 0 ? 1 : (len + mtu - 1) / mtu);
-  // Each fragment carries the per-peer transport sequence it was
-  // assigned at first transmission (stored on the tracker).
-  const std::vector<std::uint64_t>* tseqs = nullptr;
-  if (auto tt = transport_.find(out.id); tt != transport_.end()) {
-    tseqs = &tt->second.tseq;
-  }
   for (std::uint32_t i = 0; i < frag_count; ++i) {
     if (skip != nullptr && i < skip->size() && (*skip)[i]) continue;
     const std::size_t lo = static_cast<std::size_t>(i) * mtu;
     const std::size_t hi = std::min(len, lo + mtu);
-    ReqFrag frag{out.id,  out.from,       out.target,
-                 out.name, out.oob,       out.data.size(),
-                 out.recv_limit, i,       frag_count,
-                 Payload(out.data.begin() + static_cast<std::ptrdiff_t>(lo),
-                         out.data.begin() + static_cast<std::ptrdiff_t>(hi)),
-                 out.trace};
-    if (tseqs != nullptr && i < tseqs->size()) frag.tseq = (*tseqs)[i];
-    transmit(out.target_node, std::move(frag), 24 + (hi - lo), out.trace);
+    auto frag =
+        make(i, frag_count,
+             Payload(data.begin() + static_cast<std::ptrdiff_t>(lo),
+                     data.begin() + static_cast<std::ptrdiff_t>(hi)));
+    if (i < tseq.size()) frag.tseq = tseq[i];
+    transmit(dst, std::move(frag), 24 + (hi - lo), trace);
   }
+}
+
+void Kernel::send_request_frags(const Outstanding& out,
+                                const std::vector<bool>* skip) {
+  // The tseqs live on the request's leg, if it has one.
+  std::span<const std::uint64_t> tseq;
+  if (auto tt = transport_.find(out.id); tt != transport_.end()) {
+    tseq = tt->second.tseq;
+  }
+  send_frags(out.target_node, out.data, tseq, skip, out.trace,
+             [&out](std::uint32_t i, std::uint32_t count, Payload slice) {
+               return ReqFrag{out.id,         out.from,        out.target,
+                              out.name,       out.oob,         out.data.size(),
+                              out.recv_limit, i,               count,
+                              std::move(slice), out.trace};
+             });
 }
 
 void Kernel::send_accept_frags(const PendingAccept& pa,
                                const std::vector<bool>* skip) {
-  const std::size_t mtu = network_->costs().mtu_bytes;
-  const std::size_t give = pa.reply.size();
-  const auto frag_count = static_cast<std::uint32_t>(
-      give == 0 ? 1 : (give + mtu - 1) / mtu);
-  for (std::uint32_t i = 0; i < frag_count; ++i) {
-    if (skip != nullptr && i < skip->size() && (*skip)[i]) continue;
-    const std::size_t lo = static_cast<std::size_t>(i) * mtu;
-    const std::size_t hi = std::min(give, lo + mtu);
-    AcceptFrag frag{pa.req, pa.oob, pa.delivered, pa.reply_total, i,
-                    frag_count,
-                    Payload(pa.reply.begin() + static_cast<std::ptrdiff_t>(lo),
-                            pa.reply.begin() + static_cast<std::ptrdiff_t>(hi)),
-                    pa.trace};
-    if (i < pa.tseq.size()) frag.tseq = pa.tseq[i];
-    transmit(pa.dst, std::move(frag), 24 + (hi - lo), pa.trace);
-  }
+  send_frags(pa.leg.dst, pa.reply, pa.leg.tseq, skip, pa.trace,
+             [&pa](std::uint32_t i, std::uint32_t count, Payload slice) {
+               return AcceptFrag{pa.req,         pa.oob, pa.delivered,
+                                 pa.reply_total, i,      count,
+                                 std::move(slice), pa.trace};
+             });
 }
 
 // ---- transport-level retransmission (Costs::ack_timeout > 0) ----------
@@ -438,31 +425,49 @@ void Kernel::note_done(ReqId req) {
   }
 }
 
-void Kernel::arm_transport_timer(ReqId req) {
-  auto it = transport_.find(req);
-  if (it == transport_.end()) return;
-  it->second.timer = network_->engine().schedule_cancellable(
-      it->second.cur_rto, [this, req] { on_transport_timeout(req); });
+void Kernel::open_leg(Leg& leg, std::size_t frags) {
+  PeerTx& tx = peer_tx_[leg.dst];
+  leg.tseq.resize(frags);
+  for (std::uint64_t& s : leg.tseq) s = tx.next_tseq++;
+  leg.acked.assign(frags, false);
+  leg.cur_rto = tx.rtt.rto(network_->costs().ack_timeout);
+  leg.first_sent_at = network_->engine().now();
+}
+
+void Kernel::arm_leg_timer(Leg& leg, ReqId req,
+                           void (Kernel::*on_timeout)(ReqId)) {
+  leg.timer = network_->engine().schedule_cancellable(
+      leg.cur_rto, [this, req, on_timeout] { (this->*on_timeout)(req); });
+}
+
+bool Kernel::back_off(Leg& leg, ReqId req, const char* label,
+                      std::uint64_t trace) {
+  if (leg.attempts >= network_->costs().max_transport_attempts) return false;
+  ++leg.attempts;
+  ++retries_;
+  leg.cur_rto = std::min(leg.cur_rto * 2, common::kRtoMax);
+  if (auto* rec = trace::get(network_->engine())) {
+    rec->instant(node_.value(), "kernel", label, trace, req.value(),
+                 static_cast<std::uint64_t>(leg.attempts));
+  }
+  return true;
 }
 
 void Kernel::on_transport_timeout(ReqId req) {
   auto tt = transport_.find(req);
   if (tt == transport_.end()) return;
+  Leg& leg = tt->second;
   auto it = outstanding_.find(req);
-  if (it == outstanding_.end()) {  // resolved while the timer was armed
+  // Resolved while the timer was armed, or the wire leg is done: the
+  // rendezvous itself may take arbitrarily long (accept is the target's
+  // business) — stop watching.
+  if (it == outstanding_.end() ||
+      std::all_of(leg.acked.begin(), leg.acked.end(),
+                  [](bool b) { return b; })) {
     transport_.erase(tt);
     return;
   }
-  TransportSend& ts = tt->second;
-  const bool all_acked =
-      std::all_of(ts.acked.begin(), ts.acked.end(), [](bool b) { return b; });
-  if (all_acked) {
-    // The wire leg is done; the rendezvous itself may take arbitrarily
-    // long (accept is the target's business) — stop watching.
-    transport_.erase(tt);
-    return;
-  }
-  if (ts.attempts >= network_->costs().max_transport_attempts) {
+  if (!back_off(leg, req, "req.retransmit", it->second.trace)) {
     // Nothing but silence: the hint was stale, the path is cut, or the
     // target is gone.  SODA can only ever conclude this by timeout.
     Outstanding& out = it->second;
@@ -474,45 +479,24 @@ void Kernel::on_transport_timeout(ReqId req) {
     raise(from_pid, intr);
     return;
   }
-  ++ts.attempts;
-  ++retries_;
-  ts.cur_rto = std::min(ts.cur_rto * 2, common::kRtoMax);  // backoff
-  if (auto* rec = trace::get(network_->engine())) {
-    rec->instant(node_.value(), "kernel", "req.retransmit", it->second.trace,
-                 req.value(), static_cast<std::uint64_t>(ts.attempts));
-  }
-  send_request_frags(it->second, &ts.acked);
-  arm_transport_timer(req);
-}
-
-void Kernel::arm_accept_timer(ReqId req) {
-  auto it = pending_accepts_.find(req);
-  if (it == pending_accepts_.end()) return;
-  it->second.timer = network_->engine().schedule_cancellable(
-      it->second.cur_rto, [this, req] { on_accept_timeout(req); });
+  send_request_frags(it->second, &leg.acked);
+  arm_leg_timer(leg, req, &Kernel::on_transport_timeout);
 }
 
 void Kernel::on_accept_timeout(ReqId req) {
   auto it = pending_accepts_.find(req);
   if (it == pending_accepts_.end()) return;
   PendingAccept& pa = it->second;
-  if (pa.attempts >= network_->costs().max_transport_attempts) {
+  if (!back_off(pa.leg, req, "accept.retransmit", pa.trace)) {
     // We accepted but cannot reach the requester.  Best effort: tell it
     // the rendezvous failed (the note itself may be lost; the requester
     // side then never learns, which is exactly SODA's failure mode).
-    transmit(pa.dst, CrashNote{pa.req, Pid::invalid()}, 16, pa.trace);
+    transmit(pa.leg.dst, CrashNote{pa.req, Pid::invalid()}, 16, pa.trace);
     pending_accepts_.erase(it);
     return;
   }
-  ++pa.attempts;
-  ++retries_;
-  pa.cur_rto = std::min(pa.cur_rto * 2, common::kRtoMax);
-  if (auto* rec = trace::get(network_->engine())) {
-    rec->instant(node_.value(), "kernel", "accept.retransmit", pa.trace,
-                 req.value(), static_cast<std::uint64_t>(pa.attempts));
-  }
-  send_accept_frags(pa, &pa.acked);
-  arm_accept_timer(req);
+  send_accept_frags(pa, &pa.leg.acked);
+  arm_leg_timer(pa.leg, req, &Kernel::on_accept_timeout);
 }
 
 sim::Task<Result<ReqId>> Kernel::request(Pid caller, Pid target, Name name,
@@ -541,23 +525,17 @@ sim::Task<Result<ReqId>> Kernel::request(Pid caller, Pid target, Name name,
   const ReqId id = network_->new_req();
   Outstanding out{id,   caller, target, network_->node_of(target),
                   name, oob,    std::move(send_data), recv_limit, 0, trace};
-  const auto frag_count = static_cast<std::size_t>(frags);
+  Leg* leg = nullptr;
   if (acks_enabled()) {
-    // The tracker goes in before the fragments leave: send_request_frags
+    // The leg goes in before the fragments leave: send_request_frags
     // reads the assigned tseqs from it.
-    TransportSend ts;
-    ts.acked.assign(frag_count, false);
-    ts.dst = out.target_node;
-    PeerTx& tx = peer_tx_[out.target_node];
-    ts.tseq.resize(frag_count);
-    for (std::uint64_t& s : ts.tseq) s = tx.next_tseq++;
-    ts.cur_rto = tx.rtt.rto(costs.ack_timeout);
-    ts.first_sent_at = network_->engine().now();
-    transport_.emplace(id, std::move(ts));
+    leg = &transport_[id];
+    leg->dst = out.target_node;
+    open_leg(*leg, static_cast<std::size_t>(frags));
   }
   send_request_frags(out);
   outstanding_.emplace(id, std::move(out));
-  if (acks_enabled()) arm_transport_timer(id);
+  if (leg != nullptr) arm_leg_timer(*leg, id, &Kernel::on_transport_timeout);
   co_return id;
 }
 
@@ -620,27 +598,21 @@ sim::Task<Result<Payload>> Kernel::accept(Pid caller, ReqId request, Oob oob,
 
   PendingAccept pa;
   pa.req = request;
-  pa.dst = parked.from_node;
   pa.oob = oob;
   pa.delivered = take;
   pa.reply_total = give;
   pa.reply = std::move(reply_data);
-  pa.acked.assign(frag_count, false);
-  pa.attempts = 1;
   pa.trace = parked.trace;
+  pa.leg.dst = parked.from_node;
   if (acks_enabled()) {
-    PeerTx& tx = peer_tx_[pa.dst];
-    pa.tseq.resize(frag_count);
-    for (std::uint64_t& s : pa.tseq) s = tx.next_tseq++;
-    pa.cur_rto = tx.rtt.rto(costs.ack_timeout);
-    pa.first_sent_at = network_->engine().now();
-    // Tracker first, fragments second (like the request path): the
+    open_leg(pa.leg, frag_count);
+    // Leg first, fragments second (like the request path): the
     // frontier scan in tx_frontier must see this accept's live tseqs,
     // or the fragments would carry a tseq_base beyond themselves and
     // the receiver would screen them as duplicates.
     auto [pit, inserted] = pending_accepts_.emplace(request, std::move(pa));
     send_accept_frags(pit->second);
-    arm_accept_timer(request);
+    arm_leg_timer(pit->second.leg, request, &Kernel::on_accept_timeout);
   } else {
     send_accept_frags(pa);
   }

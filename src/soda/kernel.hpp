@@ -21,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <variant>
@@ -131,31 +132,27 @@ class Kernel {
     // lost, retransmission raced the original) be counted once.
     std::vector<bool> have;
   };
-  struct TransportSend {  // requester side, one per unresolved request
-    int attempts = 1;
-    std::vector<bool> acked;  // per request fragment
-    sim::TimerHandle timer;
+  // One retransmitted leg: a request's fragments at the requester, or
+  // an accept's at the accepter, until every fragment is acknowledged.
+  struct Leg {
+    net::NodeId dst;
     // Per-peer transport sequence number of each fragment, assigned
     // once and reused verbatim across retransmissions.
-    net::NodeId dst;
     std::vector<std::uint64_t> tseq;
+    std::vector<bool> acked;  // per fragment
+    int attempts = 1;
+    sim::TimerHandle timer;
     sim::Time first_sent_at = 0;  // Karn: sample only unretransmitted
     sim::Duration cur_rto = 0;    // current timeout; doubles per attempt
   };
   struct PendingAccept {  // accepter side, until its fragments are acked
     ReqId req;
-    net::NodeId dst;
     Oob oob{};
     std::size_t delivered = 0;
     std::size_t reply_total = 0;
     Payload reply;
-    std::vector<bool> acked;  // per accept fragment
-    int attempts = 1;
-    sim::TimerHandle timer;
     std::uint64_t trace = 0;
-    std::vector<std::uint64_t> tseq;  // as TransportSend::tseq
-    sim::Time first_sent_at = 0;
-    sim::Duration cur_rto = 0;
+    Leg leg;  // bound for the requester; no tseqs when acks are off
   };
   // Per-peer transport state.  One sequence-number stream covers
   // every fragment this kernel sends to `peer`, so a single cumulative
@@ -268,16 +265,33 @@ class Kernel {
   // pass the fragment's trace where one exists, 0 for protocol frames.
   void transmit(net::NodeId dst, WireFrame frame, std::size_t bytes,
                 std::uint64_t trace = 0);
-  // skip[i] == true suppresses fragment i (already acknowledged).
+  // Sends `data` to `dst` as MTU-sized fragments built by
+  // make(index, count, slice), each stamped with its tseq (none past
+  // the end of `tseq`); skip[i] == true suppresses fragment i (already
+  // acknowledged).
+  template <typename Make>
+  void send_frags(net::NodeId dst, const Payload& data,
+                  std::span<const std::uint64_t> tseq,
+                  const std::vector<bool>* skip, std::uint64_t trace,
+                  Make make);
   void send_request_frags(const Outstanding& out,
                           const std::vector<bool>* skip = nullptr);
   void send_accept_frags(const PendingAccept& pa,
                          const std::vector<bool>* skip = nullptr);
   void schedule_retry(ReqId req);
   [[nodiscard]] bool acks_enabled() const;
-  void arm_transport_timer(ReqId req);
+  // ---- retransmitted legs ----
+  // Assigns `frags` tseqs toward leg.dst and starts the leg's clock.
+  void open_leg(Leg& leg, std::size_t frags);
+  void arm_leg_timer(Leg& leg, ReqId req, void (Kernel::*on_timeout)(ReqId));
+  // Counts one more attempt, doubles the timeout and records `label`;
+  // false (and nothing changed) once the attempts are used up.
+  [[nodiscard]] bool back_off(Leg& leg, ReqId req, const char* label,
+                              std::uint64_t trace);
+  // Marks the fragments of a leg bound for `from` at or below
+  // `watermark` acked; true once all of them are.
+  bool absorb_ack(Leg& leg, net::NodeId from, std::uint64_t watermark);
   void on_transport_timeout(ReqId req);
-  void arm_accept_timer(ReqId req);
   void on_accept_timeout(ReqId req);
   void drop_transport(ReqId req);  // cancels the retransmit timer
   void note_done(ReqId req);       // remember accepted reqs for re-acking
@@ -331,7 +345,7 @@ class Kernel {
   std::unordered_map<ReqId, Outstanding> outstanding_;
   std::unordered_map<ReqId, Reassembly> accept_reassembly_;
   std::unordered_map<ReqId, AcceptFrag> accept_header_;
-  std::unordered_map<ReqId, TransportSend> transport_;
+  std::unordered_map<ReqId, Leg> transport_;  // one per unresolved request
   std::unordered_map<ReqId, PendingAccept> pending_accepts_;
   std::unordered_map<net::NodeId, PeerTx> peer_tx_;
   std::unordered_map<net::NodeId, PeerRx> peer_rx_;

@@ -2,7 +2,10 @@
 #include "lynx/message.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <csignal>
+#include <cstdlib>
 #include <cstring>
 
 #include "sim/random.hpp"
@@ -162,6 +165,68 @@ TEST(MessageTest, SeededRoundTripPropertyOverEveryValueType) {
     }
   }
   for (const bool type_seen : seen) EXPECT_TRUE(type_seen);
+}
+
+// ---- seeded mutation ---------------------------------------------------------
+//
+// Damaged bodies must either decode or die through the decoder's own
+// assertion (SIGABRT).  Each mutant is decoded in a death-test child that
+// exits 0 once decoding returns; a sanitizer report exits 1 and so fails
+// the predicate, as would any other crash.
+
+bool decoded_or_asserted(int status) {
+  return (WIFEXITED(status) && WEXITSTATUS(status) == 0) ||
+         (WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT);
+}
+
+// Valid bodies to damage: one per value type, a mix, and two that carry
+// enclosures between other arguments.
+std::vector<Message> mutation_seeds() {
+  return {
+      make_message("int", {std::int64_t(-7)}),
+      make_message("real", {2.5}),
+      make_message("string", {std::string("hello, world")}),
+      make_message("bytes", {Bytes{0, 1, 2, 3, 254, 255}}),
+      make_message("link", {LinkHandle(1)}),
+      make_message("mixed", {std::int64_t(1), 0.5, std::string("s"),
+                             Bytes(40, 9), LinkHandle(2)}),
+      make_message("encs", {LinkHandle(3), std::string("between"),
+                            LinkHandle(4), LinkHandle(5)}),
+      make_message("", {Bytes{}, std::string(), LinkHandle(6),
+                        std::int64_t(0)}),
+  };
+}
+
+TEST(MessageMutationDeathTest, FlippedAndTruncatedBodiesDecodeOrAssert) {
+  sim::Rng rng(19);
+  int cases = 0;
+  for (const Message& seed : mutation_seeds()) {
+    const Serialized s = serialize(seed);
+    for (int n = 0; n < 40; ++n) {
+      Bytes body = s.body;
+      // Flip 1-3 bytes, truncate, or both.
+      const std::uint64_t kind = rng.next_below(3);
+      if (kind != 1) {
+        for (std::uint64_t f = 0, k = 1 + rng.next_below(3); f < k; ++f) {
+          body[rng.next_below(body.size())] ^=
+              static_cast<std::uint8_t>(1 + rng.next_below(255));
+        }
+      }
+      if (kind != 0) body.resize(rng.next_below(body.size()));
+      // An allocation exactly as long as the mutant: a read past its end
+      // is then a read past the allocation, which ASan sees.
+      const Bytes mutant(body.begin(), body.end());
+      EXPECT_EXIT(
+          {
+            (void)deserialize(mutant, s.enclosures);
+            std::_Exit(0);
+          },
+          decoded_or_asserted, "")
+          << "seed '" << seed.op << "' mutant " << n;
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 320);
 }
 
 }  // namespace
